@@ -25,13 +25,6 @@ lowMask(u32 n)
     return n >= 64 ? ~0ull : ((1ull << n) - 1);
 }
 
-/** A full active mask for one warp (32 lanes). */
-inline u32
-fullWarpMask()
-{
-    return 0xffffffffu;
-}
-
 /** Extract the bit field [lo, lo+width) of @p x. */
 inline u64
 bits(u64 x, u32 lo, u32 width)

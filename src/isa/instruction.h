@@ -99,17 +99,6 @@ struct Instr {
     /** Unresolved branch-target label (builder/assembler only). */
     std::string pendingLabel;
 
-    /** Number of register source operands actually present. */
-    u32
-    numRegSrcs() const
-    {
-        u32 n = 0;
-        for (const auto &s : src)
-            if (s.isReg())
-                ++n;
-        return n;
-    }
-
     /** True if this instruction reads register @p r as a source. */
     bool
     readsReg(u32 r) const

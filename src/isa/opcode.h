@@ -103,12 +103,6 @@ isLoad(Opcode op)
 }
 
 inline bool
-isAtomic(Opcode op)
-{
-    return op == Opcode::kAtomAdd;
-}
-
-inline bool
 isStore(Opcode op)
 {
     return op == Opcode::kStGlobal || op == Opcode::kStShared ||

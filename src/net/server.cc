@@ -320,20 +320,21 @@ SimdServer::handleStore(Connection *conn, const Message &msg)
         s = buildJob(req, job, error);
     if (s == ServiceStatus::kOk) {
         // Never trust the sender's key: recompute it from the job
-        // naming (prepare() is memoized, so this compiles each unique
-        // config once per process) and admit the outcome only under a
-        // key this node would itself have produced.  A replica can
-        // therefore never poison the cache with a mislabeled result.
+        // naming (the key needs only the assembled program, so nothing
+        // is compiled) and admit the outcome only under a key this
+        // node would itself have produced.  A replica can therefore
+        // never poison the cache with a mislabeled result.
         try {
-            const PreparedJob p = engine_.prepare(job);
-            if (p.key.hex() != keyHex) {
+            const Hash128 key = engine_.resultKeyOf(
+                *findWorkload(job.workload), job.config);
+            if (key.hex() != keyHex) {
                 s = ServiceStatus::kBadRequest;
                 error = "STORE key mismatch: claimed " + keyHex +
-                        ", computed " + p.key.hex();
+                        ", computed " + key.hex();
             } else {
                 std::istringstream is(msg.blob);
                 const RunOutcome outcome = ResultCache::deserialize(is);
-                engine_.results().store(p.key, outcome);
+                engine_.results().store(key, outcome);
             }
         } catch (const std::exception &e) {
             s = ServiceStatus::kBadRequest;

@@ -17,12 +17,13 @@ withLintAdjustments(RegFileConfig cfg)
 
 } // namespace
 
-RegisterManager::RegisterManager(const RegFileConfig &cfg, u32 max_warp_slots)
+RegisterManager::RegisterManager(const RegFileConfig &cfg, u32 max_warp_slots,
+                                 u32 regs_per_warp, u32 num_exempt)
     : cfg_(withLintAdjustments(cfg)), maxWarpSlots_(max_warp_slots),
       file_(cfg_)
 {
     fatalIf(max_warp_slots == 0, "SM needs at least one warp slot");
-    configureKernel(0, 0);
+    configureKernel(regs_per_warp, num_exempt);
 }
 
 void
@@ -39,7 +40,7 @@ RegisterManager::configureKernel(u32 regs_per_warp, u32 num_exempt)
     spilledCount_.assign(maxWarpSlots_, 0);
     lint_.assign(cfg_.lifecycleLint ? mapping_.size() : 0,
                  RegLifecycle::kFresh);
-    spillStore_.assign(mapping_.size(), WarpValue{});
+    spillStore_.clear();
     ctaAlloc_.assign(maxWarpSlots_, 0); // at most one CTA per warp slot
     mapped_ = 0;
     ++allocEpoch_;
@@ -328,6 +329,8 @@ RegisterManager::spillReg(u32 warp_slot, u32 cta_slot, u32 reg)
     panicIf(state_[idx] != RegState::kMapped, "spill of unmapped register");
     panicIf(reg < fixedExempt_,
             "fixed-home exempt registers are never spilled");
+    if (spillStore_.empty())
+        spillStore_.resize(mapping_.size());
     spillStore_[idx] = file_.values(mapping_[idx]);
     freeMapping(warp_slot, cta_slot, reg);
     state_[idx] = RegState::kSpilled;
@@ -352,16 +355,6 @@ RegisterManager::refillReg(u32 warp_slot, u32 cta_slot, u32 reg)
     --spilledCount_[warp_slot];
     ++renameStats_.refills;
     return res;
-}
-
-std::vector<u32>
-RegisterManager::spilledRegs(u32 warp_slot) const
-{
-    std::vector<u32> out;
-    for (u32 r = fixedExempt_; r < regsPerWarp_; ++r)
-        if (state_[slotIndex(warp_slot, r)] == RegState::kSpilled)
-            out.push_back(r);
-    return out;
 }
 
 void

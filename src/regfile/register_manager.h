@@ -57,7 +57,12 @@ enum class RegLifecycle : u8 { kFresh, kWritten, kReleased };
 /** Per-SM register manager. */
 class RegisterManager {
   public:
-    RegisterManager(const RegFileConfig &cfg, u32 maxWarpSlots);
+    /**
+     * A manager bound to a kernel of @p regsPerWarp registers, the
+     * first @p numExempt of them exempt (see configureKernel).
+     */
+    RegisterManager(const RegFileConfig &cfg, u32 maxWarpSlots,
+                    u32 regsPerWarp = 0, u32 numExempt = 0);
 
     /** Bind the kernel's footprint; resets all state. */
     void configureKernel(u32 regsPerWarp, u32 numExempt);
@@ -228,9 +233,6 @@ class RegisterManager {
         return spilledCount_[warpSlot] != 0;
     }
 
-    /** Spilled registers of a warp. */
-    std::vector<u32> spilledRegs(u32 warpSlot) const;
-
     // ---- Queries ---------------------------------------------------------
     u32 freeRegs() const { return file_.freeTotal(); }
     u32 ctaAllocated(u32 ctaSlot) const { return ctaAlloc_[ctaSlot]; }
@@ -302,7 +304,7 @@ class RegisterManager {
     std::vector<RegState> state_;
     std::vector<u32> spilledCount_; //!< # kSpilled regs per warp slot
     std::vector<RegLifecycle> lint_; //!< populated only when linting
-    std::vector<WarpValue> spillStore_;
+    std::vector<WarpValue> spillStore_; //!< sized on the first spill
     std::vector<u32> ctaAlloc_;  //!< registers held per CTA slot
     u32 mapped_ = 0;
     u64 allocEpoch_ = 0; //!< see allocEpoch()

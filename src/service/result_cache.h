@@ -123,7 +123,6 @@ class ResultCache {
      */
     void drain() RFV_EXCLUDES(pubMu_);
 
-    bool persistent() const { return !opts_.dir.empty(); }
     Stats stats() const RFV_EXCLUDES(pubMu_);
 
     /** Exact round-trip codec (public for tests). */

@@ -109,6 +109,19 @@ SweepEngine::prepare(const SweepJob &job)
     return p;
 }
 
+Hash128
+SweepEngine::resultKeyOf(const Workload &wl, const RunConfig &config)
+{
+    const GpuConfig gpu = Simulator(config).gpuConfig();
+    const LaunchParams launch =
+        wl.scaledLaunch(config.numSms, config.roundsPerSm);
+    const auto input = store_.inputProgram(
+        wl.name(), [&wl]() { return wl.buildKernel(); });
+    return resultKey(wl.name(), input->hash,
+                     canonicalConfigHash(config, gpu), launch,
+                     kSimulatorVersion);
+}
+
 RunOutcome
 SweepEngine::executeLive(const PreparedJob &p, double *runSeconds) const
 {
@@ -185,18 +198,9 @@ SweepEngine::runOne(const SweepJob &job)
     SweepJobResult res;
     res.job = job;
 
-    // The cache key needs only the assembled program and the config —
-    // on a hit, compilation, verification and decode are all skipped.
+    // On a hit, compilation, verification and decode are all skipped.
     const std::shared_ptr<Workload> wl = findWorkload(job.workload);
-    const GpuConfig gpu = Simulator(job.config).gpuConfig();
-    const LaunchParams launch =
-        wl->scaledLaunch(job.config.numSms, job.config.roundsPerSm);
-    const auto input = store_.inputProgram(
-        wl->name(), [&wl]() { return wl->buildKernel(); });
-    const Hash128 key =
-        resultKey(wl->name(), input->hash,
-                  canonicalConfigHash(job.config, gpu), launch,
-                  kSimulatorVersion);
+    const Hash128 key = resultKeyOf(*wl, job.config);
     res.key = key.hex();
 
     if (opts_.useCache) {

@@ -183,6 +183,13 @@ class SweepEngine {
     PreparedJob prepare(const SweepJob &job);
 
     /**
+     * The result-cache key of running @p config on @p wl.  Only the
+     * assembled program and the config feed it, so nothing is
+     * compiled, verified or decoded (thread-safe).
+     */
+    Hash128 resultKeyOf(const Workload &wl, const RunConfig &config);
+
+    /**
      * Run one prepared job live (no cache).  @p runSeconds, when
      * non-null, receives the wall time of Gpu::run() alone.
      */

@@ -18,12 +18,6 @@
 
 namespace rfv {
 
-/** Hit/miss counters. */
-struct DCacheStats {
-    u64 hits = 0;
-    u64 misses = 0;
-};
-
 /** Direct-mapped, read-allocate, write-through/no-allocate cache. */
 class DCache {
   public:
@@ -32,14 +26,18 @@ class DCache {
      *                   misses, i.e. DRAM timing as in the paper)
      * @param lineBytes  line size in bytes (Fermi L1: 128)
      */
-    DCache(u32 lines, u32 lineBytes);
+    DCache(u32 lines, u32 lineBytes)
+        : numLines_(lines), lineBytes_(lineBytes ? lineBytes : 128),
+          tags_(lines, kInvalidPc)
+    {
+    }
 
     bool enabled() const { return numLines_ != 0; }
 
     /**
      * Probe the line holding @p byteAddr; fills it on a miss.
      * @return true on hit.  With the cache disabled every probe
-     *         reports a miss and is not counted.
+     *         reports a miss.
      */
     bool
     access(u32 byteAddr)
@@ -48,25 +46,16 @@ class DCache {
             return false;
         const u32 line = byteAddr / lineBytes_;
         const u32 idx = line % numLines_;
-        if (tags_[idx] == line) {
-            ++stats_.hits;
+        if (tags_[idx] == line)
             return true;
-        }
         tags_[idx] = line;
-        ++stats_.misses;
         return false;
     }
-
-    /** Drop all lines. */
-    void reset();
-
-    const DCacheStats &stats() const { return stats_; }
 
   private:
     u32 numLines_;
     u32 lineBytes_;
     std::vector<u32> tags_;
-    DCacheStats stats_;
 };
 
 } // namespace rfv

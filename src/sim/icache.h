@@ -13,26 +13,31 @@
 
 #include <vector>
 
-#include "common/types.h"
+#include "common/bit_utils.h"
+#include "common/error.h"
 
 namespace rfv {
-
-/** Hit/miss counters. */
-struct ICacheStats {
-    u64 hits = 0;
-    u64 misses = 0;
-};
 
 /** Direct-mapped instruction cache indexed by instruction pc. */
 class ICache {
   public:
     /**
+     * Both sizes are powers of two (GpuConfig::validate), so a probe
+     * indexes with a shift and a mask.
      * @param totalInstrs  capacity in instructions (0 disables: every
      *                     access hits)
      * @param lineInstrs   instructions per line (64-bit words; a 64 B
      *                     line holds 8)
      */
-    ICache(u32 totalInstrs, u32 lineInstrs);
+    ICache(u32 totalInstrs, u32 lineInstrs)
+    {
+        panicIf(!isPow2(lineInstrs) ||
+                    (totalInstrs != 0 && !isPow2(totalInstrs)),
+                "icache geometry must be a power of two");
+        numLines_ = totalInstrs / lineInstrs;
+        lineShift_ = findFirstSet(lineInstrs);
+        tags_.assign(numLines_, kInvalidPc);
+    }
 
     /**
      * Probe for the line containing @p pc; fills the line on a miss.
@@ -41,31 +46,20 @@ class ICache {
     bool
     access(u32 pc)
     {
-        if (numLines_ == 0) {
-            ++stats_.hits; // disabled: ideal instruction supply
+        if (numLines_ == 0)
+            return true; // disabled: ideal instruction supply
+        const u32 line = pc >> lineShift_;
+        const u32 idx = line & (numLines_ - 1);
+        if (tags_[idx] == line)
             return true;
-        }
-        const u32 line = pc / lineInstrs_;
-        const u32 idx = line % numLines_;
-        if (tags_[idx] == line) {
-            ++stats_.hits;
-            return true;
-        }
         tags_[idx] = line;
-        ++stats_.misses;
         return false;
     }
 
-    /** Drop all lines (kernel switch). */
-    void reset();
-
-    const ICacheStats &stats() const { return stats_; }
-
   private:
     u32 numLines_;
-    u32 lineInstrs_;
+    u32 lineShift_; //!< log2(instructions per line)
     std::vector<u32> tags_; //!< resident line address, kInvalidPc empty
-    ICacheStats stats_;
 };
 
 } // namespace rfv

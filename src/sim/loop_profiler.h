@@ -2,13 +2,16 @@
  * @file
  * Per-phase wall-clock breakdown of the simulation loop.
  *
- * When a LoopProfile is installed via TraceHooks::loopProfile, every
- * Sm::step() attributes its wall-clock time to four phases —
+ * When a LoopProfile is installed via TraceHooks::loopProfile, one in
+ * kLoopProfileSampleEvery Sm::step() calls attributes its wall-clock
+ * time to four phases —
  * fetch (icache + metadata decode), schedule (queue maintenance,
  * scoreboard/alloc checks, throttle), execute (functional SIMT lane
  * execution + timing), commit (post-issue normalization, sampling,
  * atomic commit) — so a speedup claim about the hot loop can say
  * *which* phase got faster instead of quoting one aggregate number.
+ * Sampling keeps the clock reads from distorting what they measure:
+ * timing every step roughly doubled the step's cost.
  * Profiles are per-Sm (no sharing, no locks; one thread steps an SM)
  * and summed by Gpu::run() after the worker threads have joined.
  */
@@ -23,9 +26,13 @@
 
 namespace rfv {
 
+/** Sm::step() calls per timed step. */
+inline constexpr u64 kLoopProfileSampleEvery = 64;
+
 /** Accumulated per-phase wall-clock cost of the simulation loop. */
 struct LoopProfile {
-    u64 steps = 0;      //!< Sm::step() calls attributed
+    u64 steps = 0;      //!< Sm::step() calls while profiling
+    u64 timedSteps = 0; //!< the sampled steps the buckets below cover
     u64 fetchNs = 0;    //!< icache access + pir/pbr metadata decode
     u64 scheduleNs = 0; //!< queues, masks, scoreboard/alloc/throttle
     u64 executeNs = 0;  //!< functional lane execution + timing model
@@ -41,6 +48,7 @@ struct LoopProfile {
     operator+=(const LoopProfile &o)
     {
         steps += o.steps;
+        timedSteps += o.timedSteps;
         fetchNs += o.fetchNs;
         scheduleNs += o.scheduleNs;
         executeNs += o.executeNs;
@@ -87,13 +95,13 @@ inline std::string
 formatLoopProfile(const LoopProfile &p)
 {
     const u64 total = p.totalNs();
-    if (p.steps == 0 || total == 0)
+    if (p.timedSteps == 0 || total == 0)
         return "  (no stepped cycles profiled)\n";
     const auto row = [&](const char *name, u64 ns) {
         char buf[96];
         std::snprintf(buf, sizeof(buf), "  %-9s %10.1f ns/step  %5.1f%%\n",
                       name, static_cast<double>(ns) /
-                                static_cast<double>(p.steps),
+                                static_cast<double>(p.timedSteps),
                       100.0 * static_cast<double>(ns) /
                           static_cast<double>(total));
         return std::string(buf);

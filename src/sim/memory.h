@@ -6,6 +6,7 @@
 #define RFV_SIM_MEMORY_H
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,9 +32,14 @@ namespace rfv {
  */
 class GlobalMemory {
   public:
+    /**
+     * Zeroed memory of @p bytes.  The words come from calloc, so the
+     * OS supplies zero pages on first touch: a workload that sizes
+     * its buffers generously pays only for the pages it uses.
+     */
     explicit GlobalMemory(u32 bytes);
 
-    u32 sizeBytes() const { return static_cast<u32>(words_.size()) * 4; }
+    u32 sizeBytes() const { return numWords_ * 4; }
 
     /** Unchecked access (host setup/verify, atomic commit phase). */
     u32 load(u32 byteAddr) const
@@ -66,12 +72,11 @@ class GlobalMemory {
     }
 
     /** Convenience word accessors for workload setup/verification. */
-    u32 word(u32 index) const { return words_.at(index); }
-    void setWord(u32 index, u32 value) { words_.at(index) = value; }
+    u32 word(u32 index) const { return words_[checkedIndex(index)]; }
+    void setWord(u32 index, u32 value) { words_[checkedIndex(index)] = value; }
 
     /** Arm the debug cross-SM overlap checker (off by default). */
     void enableOverlapCheck();
-    bool overlapCheckEnabled() const { return lastWrite_ != nullptr; }
 
     /** Same-cycle cross-SM conflicts observed so far. */
     u64 overlapViolations() const
@@ -91,17 +96,24 @@ class GlobalMemory {
         panicIf(byteAddr % 4 != 0,
                 std::string("unaligned global ") + what);
         const u32 w = byteAddr / 4;
-        panicIf(w >= words_.size(), std::string("global ") + what +
-                                        " out of bounds at byte " +
-                                        std::to_string(byteAddr));
+        panicIf(w >= numWords_, std::string("global ") + what +
+                                    " out of bounds at byte " +
+                                    std::to_string(byteAddr));
         return w;
+    }
+    u32
+    checkedIndex(u32 index) const
+    {
+        panicIf(index >= numWords_, "global memory word out of range");
+        return index;
     }
     void checkRead(u32 word, u32 smId, Cycle now) const;
     void checkWrite(u32 word, u32 smId, Cycle now);
     void recordViolation(u32 word, u32 smId, u32 otherSm,
                          Cycle now) const;
 
-    std::vector<u32> words_;
+    u32 numWords_;
+    std::unique_ptr<u32[], decltype(&std::free)> words_;
 
     // Overlap checker: per word, the last non-atomic writer (and the
     // last reader) packed as ((cycle + 1) << 16) | smId; 0 = never

@@ -7,6 +7,7 @@
 
 #include <functional>
 
+#include "common/bit_utils.h"
 #include "regfile/config.h"
 
 namespace rfv {
@@ -27,7 +28,8 @@ struct GpuConfig {
     SchedulerPolicy scheduler = SchedulerPolicy::kTwoLevel;
 
     // Instruction cache (per SM).  Metadata instructions occupy lines,
-    // so pir/pbr code growth costs real fetch misses.
+    // so pir/pbr code growth costs real fetch misses.  Both sizes must
+    // be powers of two (validate()); a 0 capacity disables the cache.
     u32 icacheInstrs = 1024;    //!< capacity (8 KB of 64-bit words)
     u32 icacheLineInstrs = 8;   //!< 64 B lines
     u32 icacheMissLatency = 80; //!< refill stall in cycles
@@ -106,6 +108,9 @@ struct GpuConfig {
         fatalIf(readyQueueSize == 0, "ready queue cannot be empty");
         fatalIf(maxWarpsPerSm == 0 || maxCtasPerSm == 0,
                 "need warp and CTA slots");
+        fatalIf(!isPow2(icacheLineInstrs) ||
+                    (icacheInstrs != 0 && !isPow2(icacheInstrs)),
+                "icache capacity and line size must be powers of two");
         regFile.validate();
     }
 };
@@ -148,9 +153,10 @@ struct TraceHooks {
     std::function<void(Cycle, u32, u32, u32, RegEvent)> regEvent;
 
     /**
-     * When non-null, Sm::step() attributes its wall-clock time to
-     * per-phase buckets (fetch/schedule/execute/commit) and Gpu::run()
-     * sums every SM's buckets into this profile when the run ends.
+     * When non-null, one in kLoopProfileSampleEvery Sm::step() calls
+     * attributes its wall-clock time to per-phase buckets
+     * (fetch/schedule/execute/commit) and Gpu::run() sums every SM's
+     * buckets into this profile when the run ends.
      * Unlike the per-cycle hooks above this does NOT force the naive
      * loop — the event-driven loop is profiled as it actually runs
      * (elided cycles cost no time and appear in no bucket).

@@ -7,17 +7,15 @@ namespace rfv {
 void
 SimtStack::reset(u32 initial_mask)
 {
-    entries_.clear();
-    if (initial_mask)
-        entries_.push_back({0, kInvalidPc, initial_mask});
+    below_.clear();
+    top_ = {0, kInvalidPc, initial_mask};
 }
 
 void
 SimtStack::branch(u32 taken_pc, u32 fall_pc, u32 taken_mask, u32 rpc)
 {
-    panicIf(entries_.empty(), "branch of a finished warp");
-    SimtEntry &top = entries_.back();
-    const u32 active = top.mask;
+    panicIf(done(), "branch of a finished warp");
+    const u32 active = top_.mask;
     panicIf((taken_mask & ~active) != 0,
             "taken mask exceeds the active mask");
     const u32 fall_mask = active & ~taken_mask;
@@ -32,13 +30,15 @@ SimtStack::branch(u32 taken_pc, u32 fall_pc, u32 taken_mask, u32 rpc)
     }
 
     // Divergence: current frame becomes the reconvergence continuation.
-    top.pc = rpc;
+    top_.pc = rpc;
     // If the compiler could not find a reconvergence point (both sides
     // run to exit), there is no continuation frame to keep.
     if (rpc == kInvalidPc)
-        entries_.pop_back();
-    entries_.push_back({fall_pc, rpc, fall_mask});
-    entries_.push_back({taken_pc, rpc, taken_mask});
+        pop();
+    if (!done())
+        below_.push_back(top_);
+    below_.push_back({fall_pc, rpc, fall_mask});
+    top_ = {taken_pc, rpc, taken_mask};
     // A side whose entry pc is already the reconvergence point (e.g. a
     // branch straight to the join block) merges immediately; executing
     // it with a partial mask would run the join — and its pbr releases
@@ -49,16 +49,14 @@ SimtStack::branch(u32 taken_pc, u32 fall_pc, u32 taken_mask, u32 rpc)
 void
 SimtStack::exitLanes(u32 mask)
 {
-    for (auto &entry : entries_)
-        entry.mask &= ~mask;
-    // Drop empty frames wherever they are; order among survivors is
+    // Drop emptied frames wherever they are; order among survivors is
     // preserved.
-    std::vector<SimtEntry> kept;
-    kept.reserve(entries_.size());
-    for (const auto &entry : entries_)
-        if (entry.mask)
-            kept.push_back(entry);
-    entries_ = std::move(kept);
+    for (auto &entry : below_)
+        entry.mask &= ~mask;
+    std::erase_if(below_, [](const SimtEntry &e) { return e.mask == 0; });
+    top_.mask &= ~mask;
+    if (top_.mask == 0)
+        pop();
     mergeAtReconvergence();
 }
 

@@ -24,37 +24,42 @@ struct SimtEntry {
     u32 mask = 0;
 };
 
-/** The reconvergence stack of one warp. */
+/**
+ * The reconvergence stack of one warp.  The executing frame lives
+ * inline (every issue attempt reads its pc), the frames below it in a
+ * vector that stays empty until the warp diverges.  Every frame has a
+ * nonzero mask, so an empty top mask means every lane has exited.
+ */
 class SimtStack {
   public:
     /** Reset for a fresh warp with @p initialMask active lanes. */
     void reset(u32 initialMask);
 
     /** True once every lane has exited. */
-    bool done() const { return entries_.empty(); }
+    bool done() const { return top_.mask == 0; }
 
     /** Current fetch pc. */
     u32
     pc() const
     {
-        panicIf(entries_.empty(), "pc of a finished warp");
-        return entries_.back().pc;
+        panicIf(done(), "pc of a finished warp");
+        return top_.pc;
     }
 
     /** Current active mask. */
     u32
     activeMask() const
     {
-        panicIf(entries_.empty(), "mask of a finished warp");
-        return entries_.back().mask;
+        panicIf(done(), "mask of a finished warp");
+        return top_.mask;
     }
 
     /** Sequentially advance to @p nextPc (merges at reconvergence). */
     void
     advance(u32 nextPc)
     {
-        panicIf(entries_.empty(), "advance of a finished warp");
-        entries_.back().pc = nextPc;
+        panicIf(done(), "advance of a finished warp");
+        top_.pc = nextPc;
         mergeAtReconvergence();
     }
 
@@ -70,21 +75,32 @@ class SimtStack {
     void exitLanes(u32 mask);
 
     /** Current stack depth (tests/debug). */
-    u32 depth() const { return static_cast<u32>(entries_.size()); }
+    u32
+    depth() const
+    {
+        return done() ? 0 : static_cast<u32>(below_.size()) + 1;
+    }
 
   private:
     void
+    pop()
+    {
+        if (below_.empty()) {
+            top_ = SimtEntry{};
+            return;
+        }
+        top_ = below_.back();
+        below_.pop_back();
+    }
+    void
     mergeAtReconvergence()
     {
-        while (!entries_.empty()) {
-            const SimtEntry &top = entries_.back();
-            if (top.pc != top.rpc || top.rpc == kInvalidPc)
-                break;
-            entries_.pop_back();
-        }
+        while (!done() && top_.pc == top_.rpc && top_.rpc != kInvalidPc)
+            pop();
     }
 
-    std::vector<SimtEntry> entries_;
+    SimtEntry top_;                //!< executing frame; mask 0 = done
+    std::vector<SimtEntry> below_; //!< suspended frames, bottom first
 };
 
 } // namespace rfv

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <bit>
 
 #include "common/bit_utils.h"
@@ -37,17 +35,6 @@ computeMaxWarpSlots(const GpuConfig &cfg, const LaunchParams &launch)
     const u32 conc = std::min({launch.concCtasPerSm, cfg.maxCtasPerSm,
                                cfg.maxWarpsPerSm / wpc});
     return std::max(1u, conc * wpc);
-}
-
-/** RFV_TRACE_RELEASE=1 prints warp-0 register releases to stderr. */
-bool
-traceReleases()
-{
-    // Read-only probe of an env var nothing in the process mutates,
-    // latched once under the magic-static lock.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    static const bool enabled = std::getenv("RFV_TRACE_RELEASE");
-    return enabled;
 }
 
 /** All-ones lane mask when bit @p l of @p mask is set, else zero. */
@@ -112,7 +99,8 @@ Sm::Sm(u32 sm_id, const GpuConfig &cfg, const Program &prog,
     : smId_(sm_id), cfg_(cfg), prog_(prog), decode_(decode),
       launch_(launch), gmem_(gmem), dram_(dram), hooks_(hooks),
       warpsPerCta_(launch.warpsPerCta()), maxConcCtas_(0),
-      mgr_(cfg.regFile, computeMaxWarpSlots(cfg, launch)),
+      mgr_(cfg.regFile, computeMaxWarpSlots(cfg, launch), prog.numRegs,
+           prog.numExemptRegs),
       flagCache_(cfg.regFile.flagCacheEntries),
       icache_(cfg.icacheInstrs, cfg.icacheLineInstrs),
       dcache_(cfg.dcacheLines, cfg.dcacheLineBytes),
@@ -137,16 +125,15 @@ Sm::Sm(u32 sm_id, const GpuConfig &cfg, const Program &prog,
                      std::vector<WarpValue>(prog.localMemSlots));
 
     bankPortUse_.assign(cfg.regFile.numBanks, 0);
-    mgr_.configureKernel(prog.numRegs, prog.numExemptRegs);
     profiling_ = hooks_.loopProfile != nullptr;
 
     // Pre-size the hot-path containers so steady-state simulation never
     // allocates.
     readyQueue_.reserve(effectiveReadyQueue_ + 1);
     completions_.reserve(2 * warp_slots + 8);
-    sleepHeap_.reserve(warp_slots);
+    sleepers_.reset(warp_slots);
     throttleParked_.reserve(warp_slots);
-    issueOrder_.reserve(effectiveReadyQueue_ + 1);
+    issueOrder_.assign(effectiveReadyQueue_, 0);
     addrScratch_.reserve(kWarpSize);
     segScratch_.reserve(kWarpSize);
 }
@@ -237,9 +224,7 @@ void
 Sm::sleepWarp(u32 warp_idx)
 {
     wt_.loc(warp_idx, WarpLoc::kSleeping);
-    sleepHeap_.push_back({wt_.blockedUntil[warp_idx], warp_idx});
-    std::push_heap(sleepHeap_.begin(), sleepHeap_.end(),
-                   std::greater<SleepEntry>{});
+    sleepers_.sleep(warp_idx, wt_.blockedUntil[warp_idx]);
 }
 
 void
@@ -257,6 +242,7 @@ Sm::refillReadyQueueWork()
         }
         wt_.loc(wi, WarpLoc::kReady);
         readyQueue_.push_back(wi);
+        readyWake_ = std::min(readyWake_, wt_.blockedUntil[wi]);
     }
 }
 
@@ -274,66 +260,43 @@ Sm::demoteWarp(u32 warp_idx)
 
 /**
  * Restore the invariant that every ready warp is runnable soon: warps
- * blocked kSleepThresholdCycles or more into the future move to the
- * sleep heap and freed slots refill from the pending queue, repeating
- * until stable.  Afterwards a cycle with no due completion, no due
- * sleeper and no ready warp past its blockedUntil is a provable no-op,
- * which is what makes nextEventCycle()'s window sound.
+ * blocked kSleepThresholdCycles or more into the future fall asleep
+ * and freed slots refill from the pending queue; warps pulled in by a
+ * refill get the same check, until a refill adds nothing.  Afterwards
+ * a cycle with no due completion, no due sleeper and no ready warp
+ * past its blockedUntil is a provable no-op, which is what makes
+ * nextEventCycle()'s window sound.
+ *
+ * Every ready warp is live here: a warp only finishes by issuing, and
+ * the issue loop's post-attempt rule takes a finished warp out of the
+ * ready set at once (refills skip dead warps themselves).
  */
 void
 Sm::normalizeReadyQueue(Cycle now)
 {
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (u32 i = 0; i < readyQueue_.size();) {
+    // One in-place compaction per refill round; only the warps the
+    // previous round appended need checking (the rest are unchanged).
+    Cycle wake = kNoEventCycle;
+    u32 from = 0;
+    while (true) {
+        u32 kept = from;
+        for (u32 i = from; i < readyQueue_.size(); ++i) {
             const u32 wi = readyQueue_[i];
-            if (!wt_.valid(wi) || wt_.finished(wi)) {
-                readyQueue_.erase(readyQueue_.begin() + i);
-                wt_.loc(wi, WarpLoc::kNone);
-                changed = true;
-                continue;
-            }
-            if (wt_.blockedUntil[wi] > now &&
-                wt_.blockedUntil[wi] - now >= kSleepThresholdCycles) {
-                readyQueue_.erase(readyQueue_.begin() + i);
+            const Cycle blocked = wt_.blockedUntil[wi];
+            if (blocked > now && blocked - now >= kSleepThresholdCycles) {
                 sleepWarp(wi);
-                changed = true;
-                continue;
+            } else {
+                readyQueue_[kept++] = wi;
+                wake = std::min(wake, blocked);
             }
-            ++i;
         }
-        const u32 before = static_cast<u32>(readyQueue_.size());
+        readyQueue_.resize(kept);
         refillReadyQueue();
-        if (readyQueue_.size() != before)
-            changed = true;
+        if (readyQueue_.size() == kept)
+            break;
+        from = kept;
     }
-}
-
-void
-Sm::wakeSleepersWork(Cycle now)
-{
-    while (!sleepHeap_.empty() && sleepHeap_.front().wake <= now) {
-        std::pop_heap(sleepHeap_.begin(), sleepHeap_.end(),
-                      std::greater<SleepEntry>{});
-        const SleepEntry e = sleepHeap_.back();
-        sleepHeap_.pop_back();
-        if (wt_.loc(e.warp) != WarpLoc::kSleeping)
-            continue; // stale entry
-        if (!wt_.valid(e.warp) || wt_.finished(e.warp)) {
-            wt_.loc(e.warp, WarpLoc::kNone);
-            continue;
-        }
-        if (wt_.blockedUntil[e.warp] > now) {
-            // The stall was extended while asleep (spill victim): keep
-            // sleeping until the new wakeup cycle.
-            sleepHeap_.push_back({wt_.blockedUntil[e.warp], e.warp});
-            std::push_heap(sleepHeap_.begin(), sleepHeap_.end(),
-                          std::greater<SleepEntry>{});
-            continue;
-        }
-        pendWarp(e.warp);
-    }
+    readyWake_ = wake;
 }
 
 void
@@ -619,9 +582,6 @@ Sm::processMetadata(u32 warp_idx, Cycle now)
 #endif
             for (u32 i = 0; i < dec.pbrCount; ++i) {
                 const u32 r = dec.pbrRegs[i];
-                if (traceReleases() && warp_idx == 0)
-                    std::fprintf(stderr, "pbr release r%u at pc %u\n",
-                                 r, pc);
                 if (hooks_.regEvent &&
                     mgr_.state(warp_idx, r) == RegState::kMapped) {
                     hooks_.regEvent(now, smId_, warp_idx, r,
@@ -664,7 +624,7 @@ Sm::attemptIssue(u32 warp_idx, Cycle now)
     }
 
     {
-        ScopedNs fetch_t(profiling_ ? &prof_.fetchNs : nullptr);
+        ScopedNs fetch_t(profStep_ ? &prof_.fetchNs : nullptr);
         SimtStack &stack = wt_.stack(warp_idx);
         // Instruction fetch: a miss blocks the warp for the refill.  A
         // paid miss delivers its instruction even if the line has been
@@ -806,7 +766,7 @@ Sm::attemptIssue(u32 warp_idx, Cycle now)
     }
 
     {
-        ScopedNs exec_t(profiling_ ? &prof_.executeNs : nullptr);
+        ScopedNs exec_t(profStep_ ? &prof_.executeNs : nullptr);
         execute(warp_idx, ins, dec, exec_mask, now);
     }
 
@@ -818,8 +778,6 @@ Sm::attemptIssue(u32 warp_idx, Cycle now)
         if (!((ins.pirMask >> k) & 1))
             continue;
         const u32 r = ins.src[k].value;
-        if (traceReleases() && warp_idx == 0)
-            std::fprintf(stderr, "pir release r%u at pc %u\n", r, pc);
         if (hooks_.regEvent &&
             mgr_.state(warp_idx, r) == RegState::kMapped) {
             hooks_.regEvent(now, smId_, warp_idx, r, RegEvent::kRelease);
@@ -1379,49 +1337,14 @@ Sm::attemptSpill(u32 stalled_warp, u32 need_bank, Cycle now)
     stats_.spilledRegs += best_cands.size();
 }
 
-std::string
-Sm::debugState(Cycle now) const
-{
-    std::string out = "SM" + std::to_string(smId_) +
-                      " free=" + std::to_string(mgr_.freeRegs()) +
-                      " throttle=" +
-                      (throttleActive_ ? std::to_string(throttleCta_)
-                                       : std::string("off")) +
-                      " inflight=" + std::to_string(inFlightLoads_) + " ready=[";
-    for (u32 wi : readyQueue_)
-        out += std::to_string(wi) + " ";
-    out += "] pending=[";
-    for (std::size_t i = 0; i < pendingQueue_.size(); ++i)
-        out += std::to_string(pendingQueue_[i]) + " ";
-    out += "] sleeping=" + std::to_string(sleepHeap_.size()) +
-           " parked=" + std::to_string(throttleParked_.size()) + "\n";
-    for (u32 wi = 0; wi < wt_.size(); ++wi) {
-        if (!wt_.valid(wi))
-            continue;
-        out += "  w" + std::to_string(wi) + " cta" +
-               std::to_string(wt_.ctaSlot[wi]) +
-               (wt_.finished(wi)
-                    ? " done"
-                    : " pc=" + std::to_string(wt_.stack(wi).done()
-                                                  ? kInvalidPc
-                                                  : wt_.stack(wi).pc())) +
-               (wt_.atBarrier(wi) ? " BAR" : "") +
-               " pendR=" + std::to_string(wt_.pendingRegs[wi]) +
-               " pendL=" + std::to_string(wt_.pendingLoads[wi]) +
-               " blocked=" +
-               std::to_string(wt_.blockedUntil[wi] > now
-                                  ? wt_.blockedUntil[wi] - now
-                                  : 0) +
-               " spilled=" +
-               std::to_string(mgr_.spilledRegs(wi).size()) + "\n";
-    }
-    return out;
-}
-
 void
 Sm::step(Cycle now)
 {
-    const bool prof = profiling_;
+    if (profiling_) {
+        ++prof_.steps;
+        profStep_ = prof_.steps % kLoopProfileSampleEvery == 0;
+    }
+    const bool prof = profStep_;
     u64 t0 = 0;
     u64 t1 = 0;
     u64 fetch0 = 0;
@@ -1447,32 +1370,30 @@ Sm::step(Cycle now)
     u32 issued = 0;
     if (!readyQueue_.empty()) {
         // The LRR snapshot keeps only warps issuable at the start of
-        // the cycle, tested per ready warp on the packed arrays
-        // (WarpTable::issuable — the whole-table issuableMask() sweep
-        // answers the same query for full-table scans like the spill
-        // engine, but the active set here is at most the ready-queue
-        // cap, so per-warp probes touch less memory).  The filter is
-        // exact: blockedUntil never decreases within a cycle,
-        // valid/finished only flip toward non-issuable, and no ready
-        // warp is atBarrier at step entry — so a warp not issuable in
+        // the cycle.  Every warp enters the ready set valid,
+        // unfinished and not at a barrier, and the post-attempt rule
+        // takes it out as soon as any of that changes, so at step
+        // entry a ready warp is issuable exactly when
+        // blockedUntil <= now.  The filter is exact:
+        // blockedUntil never decreases within a cycle and the flags
+        // only flip toward non-issuable, so a warp not issuable in
         // the snapshot stays non-issuable all cycle and its
         // attemptIssue would have been a side-effect-free skip.
         // (attemptIssue still re-checks per-warp state: a warp
         // issuable at the snapshot can be blocked mid-cycle, e.g. as
         // a spill victim.)
-        issueOrder_.clear();
         const u32 n = static_cast<u32>(readyQueue_.size());
+        u32 order = 0;
         u32 j = lrrCursor_ < n ? lrrCursor_ : lrrCursor_ % n;
         for (u32 i = 0; i < n; ++i) {
             const u32 wi = readyQueue_[j];
             if (++j == n)
                 j = 0;
-            if (wt_.issuable(wi, now))
-                issueOrder_.push_back(wi);
+            issueOrder_[order] = wi;
+            order += wt_.blockedUntil[wi] <= now;
         }
-        for (u32 wi : issueOrder_) {
-            if (issued >= cfg_.issuePerCycle)
-                break;
+        for (u32 k = 0; k < order && issued < cfg_.issuePerCycle; ++k) {
+            const u32 wi = issueOrder_[k];
             // The warp may have been demoted by a previous issue.
             if (wt_.loc(wi) != WarpLoc::kReady)
                 continue;
@@ -1503,9 +1424,10 @@ Sm::step(Cycle now)
             if (outcome == IssueOutcome::kDemoted)
                 demoteWarp(wi);
         }
-        if (!readyQueue_.empty())
-            lrrCursor_ = static_cast<u32>((lrrCursor_ + 1) %
-                                          readyQueue_.size());
+        const u32 left = static_cast<u32>(readyQueue_.size());
+        if (left != 0)
+            lrrCursor_ = lrrCursor_ + 1 < left ? lrrCursor_ + 1
+                                               : (lrrCursor_ + 1) % left;
     }
 
     if (prof) {
@@ -1536,21 +1458,15 @@ Sm::step(Cycle now)
 
     if (prof) {
         prof_.commitNs += profileNowNs() - t1;
-        ++prof_.steps;
+        ++prof_.timedSteps;
     }
 }
 
 Cycle
 Sm::nextEventCycle(Cycle now) const
 {
-    Cycle next = kNoEventCycle;
-    for (u32 wi : readyQueue_) {
-        const Cycle at = std::max(wt_.blockedUntil[wi], now + 1);
-        next = std::min(next, at);
-    }
-    if (!sleepHeap_.empty())
-        next = std::min(next,
-                        std::max(sleepHeap_.front().wake, now + 1));
+    Cycle next =
+        std::max(std::min(readyWake_, sleepers_.nextWake()), now + 1);
     // Defensive: a refillable pending warp or an uncommitted atomic
     // means next cycle is not provably a no-op.
     if ((!pendingQueue_.empty() &&
@@ -1582,11 +1498,9 @@ Sm::skipCycles(u64 k)
 }
 
 void
-Sm::commitAtomics(Cycle now)
+Sm::commitAtomicsWork(Cycle now)
 {
-    ScopedNs commit_t(profiling_ && !pendingAtomics_.empty()
-                          ? &prof_.commitNs
-                          : nullptr);
+    ScopedNs commit_t(profStep_ ? &prof_.commitNs : nullptr);
     for (const PendingAtomic &pa : pendingAtomics_) {
         WarpValue out{};
         for (u32 l = 0; l < kWarpSize; ++l) {

@@ -25,6 +25,7 @@
 #include "sim/loop_profiler.h"
 #include "sim/memory.h"
 #include "sim/sim_config.h"
+#include "sim/sleeper_set.h"
 #include "sim/warp_table.h"
 
 namespace rfv {
@@ -62,16 +63,12 @@ class Sm {
        const DecodeCache &decode, const LaunchParams &launch,
        GlobalMemory &gmem, DramModel &dram, const TraceHooks &hooks);
 
-    /** Concurrent CTAs this SM can hold for this kernel. */
-    u32 maxConcCtas() const { return maxConcCtas_; }
-
     /** Try to make CTA @p globalCtaId resident; false if no room. */
     bool tryLaunchCta(u32 globalCtaId, Cycle now);
 
     /** True while any CTA is resident. */
     bool busy() const { return residentCtas_ > 0; }
 
-    u32 residentCtas() const { return residentCtas_; }
     u32 completedCtas() const { return completedCtas_; }
 
     /** Advance one cycle. */
@@ -83,8 +80,8 @@ class Sm {
      * every warp is parked on an external condition).  Valid only
      * right after step()/commitAtomics() for cycle @p now (or after a
      * CTA launch at @p now): the minimum over every ready warp's
-     * wakeup cycle and the sleep-heap head.  Cycles before the
-     * returned value are provable no-ops — every ready warp is
+     * wakeup cycle and the smallest sleeper wake key.  Cycles before
+     * the returned value are provable no-ops — every ready warp is
      * blocked past them, sleepers wake later, pending warps cannot
      * enter the full ready set, throttle/dispatch inputs are frozen,
      * and deferred completions only become visible to attempts at the
@@ -114,7 +111,12 @@ class Sm {
      * so the deferral is architecturally invisible.  Callers stepping
      * an Sm directly must invoke this after each step().
      */
-    void commitAtomics(Cycle now);
+    void
+    commitAtomics(Cycle now)
+    {
+        if (!pendingAtomics_.empty())
+            commitAtomicsWork(now);
+    }
 
     const SmStats &stats() const { return stats_; }
     RegisterManager &regs() { return mgr_; }
@@ -126,9 +128,6 @@ class Sm {
 
     /** Resident (valid) warps right now. */
     u32 residentWarps() const;
-
-    /** Human-readable scheduler/warp state (deadlock diagnosis). */
-    std::string debugState(Cycle now) const;
 
   private:
     struct CtaSlot {
@@ -176,17 +175,6 @@ class Sm {
 
     enum class IssueOutcome : u8 { kIssued, kSkipped, kDemoted, kParked };
 
-    /** Sleep-heap entry: (wakeup cycle, warp index) min-heap order. */
-    struct SleepEntry {
-        Cycle wake;
-        u32 warp;
-        bool
-        operator>(const SleepEntry &o) const
-        {
-            return wake != o.wake ? wake > o.wake : warp > o.warp;
-        }
-    };
-
     /** One atomic op awaiting the end-of-cycle commit. */
     struct PendingAtomic {
         u32 warpIdx;
@@ -211,10 +199,11 @@ class Sm {
     void
     wakeSleepers(Cycle now)
     {
-        if (!sleepHeap_.empty() && sleepHeap_.front().wake <= now)
-            wakeSleepersWork(now);
+        // A sleeper is always live: only an issuing warp can finish.
+        if (sleepers_.nextWake() <= now)
+            sleepers_.wakeDue(now, wt_.blockedUntil.data(),
+                              [this](u32 wi) { pendWarp(wi); });
     }
-    void wakeSleepersWork(Cycle now);
     void
     evaluateThrottle()
     {
@@ -225,6 +214,7 @@ class Sm {
             evaluateThrottleWork();
     }
     void evaluateThrottleWork();
+    void commitAtomicsWork(Cycle now);
     void unparkThrottled();
     IssueOutcome attemptIssue(u32 warpIdx, Cycle now);
     bool processMetadata(u32 warpIdx, Cycle now);
@@ -292,12 +282,15 @@ class Sm {
     std::vector<std::vector<WarpValue>> localMem_; //!< [warpSlot][slot]
 
     std::vector<u32> readyQueue_;
+    /** Smallest blockedUntil in readyQueue_ for nextEventCycle():
+     *  set by normalizeReadyQueue(), lowered by later refills. */
+    Cycle readyWake_ = kNoEventCycle;
     RingQueue<u32> pendingQueue_;
     u32 lrrCursor_ = 0;
 
     /**
-     * Ready warps blocked at least this far in the future are moved to
-     * the sleep heap instead of spinning in the active set.  Short ALU
+     * Ready warps blocked at least this far in the future fall asleep
+     * (sleepers_) instead of spinning in the active set.  Short ALU
      * stalls (4-6 cycles) stay ready — preserving the two-level
      * scheduler's character — and are covered by nextEventCycle()'s
      * min-over-ready term, so quiescent windows remain skippable.
@@ -342,14 +335,14 @@ class Sm {
      */
     std::vector<Cycle> loadHeap_;
 
-    /** Min-heap of (wake cycle, warp) for long-blocked warps. */
-    std::vector<SleepEntry> sleepHeap_;
+    /** Long-blocked warps (WarpLoc::kSleeping). */
+    SleeperSet sleepers_;
 
     /** Warps parked by the CTA throttle until its signature changes. */
     std::vector<u32> throttleParked_;
 
     // Reusable per-step scratch (hot path stays allocation-free).
-    std::vector<u32> issueOrder_; //!< LRR snapshot of readyQueue_
+    std::vector<u32> issueOrder_; //!< LRR snapshot (readyQueue_ cap)
     std::vector<u32> addrScratch_; //!< per-lane byte addresses
     std::vector<u32> segScratch_;  //!< coalescing segment ids
 
@@ -380,6 +373,7 @@ class Sm {
     /** Per-phase wall-clock buckets; accumulated only when profiling_. */
     LoopProfile prof_;
     bool profiling_ = false;
+    bool profStep_ = false; //!< the current step is a timed sample
 };
 
 } // namespace rfv

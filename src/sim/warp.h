@@ -16,18 +16,6 @@
 
 namespace rfv {
 
-/** Why a warp cannot issue right now (for stats/debug). */
-enum class WarpStall : u8 {
-    kNone,
-    kScoreboard,
-    kBarrier,
-    kMemStructural,
-    kRegAlloc,
-    kThrottle,
-    kSpilled,
-    kLatency,
-};
-
 /**
  * Which scheduler container currently holds the warp.  Exactly one
  * container may hold a warp at a time; the enum makes membership an
@@ -35,8 +23,9 @@ enum class WarpStall : u8 {
  * reason about which warps can generate wakeup events:
  *  - kReady/kPending: the two-level scheduler queues (runnable or
  *    short-blocked warps).
- *  - kSleeping: parked in the wakeup-cycle min-heap until the warp's
- *    blockedUntil cycle (long-latency stall with a known end).
+ *  - kSleeping: asleep in the SM's sleeper set until its wake key
+ *    (the blockedUntil cycle it fell asleep with) comes due — a
+ *    long-latency stall with a known end.
  *  - kBarrier: parked until the CTA barrier releases.
  *  - kParked: parked by the CTA throttle until the throttle signature
  *    (active flag, chosen CTA) changes.

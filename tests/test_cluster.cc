@@ -316,6 +316,50 @@ TEST(Cluster, ReplicationWarmsTheReplicaCache)
     EXPECT_EQ(second.key, first.key);
 }
 
+TEST(Cluster, ReplicaStoreCompilesNothingAndRejectsAMislabeledKey)
+{
+    Cluster3 cluster;
+    const ServiceRequest req = smallRequest();
+    const std::vector<u32> owners = cluster.ownersOf(req);
+    ASSERT_EQ(owners.size(), 2u);
+    SimdServer &replicaServer = *cluster.servers[owners[1]];
+    const u64 compilesBefore =
+        replicaServer.engine().artifacts().stats().compilesBuilt;
+
+    ClientOptions copts;
+    copts.port = cluster.servers[owners[0]]->port();
+    SimdClient primary(copts);
+    SweepJobResult first;
+    std::string error;
+    ASSERT_EQ(primary.run(req, first, error), ServiceStatus::kOk)
+        << error;
+    cluster.servers[owners[0]]->drainReplication();
+    ASSERT_EQ(counter(replicaServer, "replication_stored"), 1u);
+    // Checking the sender's key needs only the assembled program.
+    EXPECT_EQ(replicaServer.engine().artifacts().stats().compilesBuilt,
+              compilesBefore);
+
+    // A STORE whose key does not match its naming is refused.
+    std::ostringstream os;
+    ResultCache::serialize(os, first.outcome);
+    std::string badKey = first.key;
+    badKey[0] = badKey[0] == '0' ? '1' : '0';
+    ClientOptions ropts;
+    ropts.port = replicaServer.port();
+    SimdClient replica(ropts);
+    Message ack;
+    ASSERT_EQ(replica.request(encodeStoreRequest(req, badKey, os.str()),
+                              ack, error),
+              ServiceStatus::kOk)
+        << error;
+    EXPECT_EQ(ack.verb, kVerbStored);
+    EXPECT_EQ(ack.get("stored"), "0");
+    EXPECT_NE(ack.get("error").find("key mismatch"), std::string::npos)
+        << ack.get("error");
+    EXPECT_EQ(counter(replicaServer, "replication_rejected"), 1u);
+    EXPECT_EQ(counter(replicaServer, "replication_stored"), 1u);
+}
+
 TEST(Cluster, ProbeReportsNodeHealth)
 {
     Cluster3 cluster;

