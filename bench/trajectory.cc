@@ -344,7 +344,6 @@ main(int argc, char **argv)
     for (RunConfig &cfg : configs) {
         cfg.numSms = sms;
         cfg.roundsPerSm = rounds;
-        cfg.numWorkerThreads = 0; // single-thread: isolate the loop win
     }
 
     std::map<std::string, double> before;

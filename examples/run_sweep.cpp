@@ -66,7 +66,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "common/sync.h"
+#include "common/thread_pool.h"
 #include "core/report.h"
 #include "net/cluster_coordinator.h"
 #include "service/request.h"
@@ -315,50 +315,34 @@ main(int argc, char **argv)
                 }
             }
 
-            std::atomic<size_t> nextIndex{0};
-            auto worker = [&]() {
-                for (;;) {
-                    // relaxed: the claim counter only partitions
-                    // indices; results[i] has exactly one writer and
-                    // is read after the joins below.
-                    const size_t i = nextIndex.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (i >= entries.size())
-                        return;
-                    if (entries[i].status != ServiceStatus::kOk)
-                        continue; // parse error, already recorded
-                    if (gInterrupted.load()) {
-                        results[i].status = ServiceStatus::kCancelled;
-                        results[i].error = "interrupted";
-                        continue;
-                    }
-                    ServiceRequest req;
-                    req.workload = entries[i].workload;
-                    req.configName = entries[i].configName;
-                    req.overrides = entries[i].overrides;
-                    if (haveSms)
-                        req.overrides.emplace_back(
-                            "numSms", std::to_string(sms));
-                    if (haveRounds)
-                        req.overrides.emplace_back(
-                            "roundsPerSm", std::to_string(rounds));
-                    req.deadlineMs = deadlineMs;
-                    std::string error;
-                    results[i].status =
-                        coordinator.run(req, results[i], error);
-                    if (results[i].error.empty())
-                        results[i].error = error;
+            // results[i] has exactly one writer (job i) and is read
+            // after run() returns.
+            WorkStealingPool pool(static_cast<u32>(std::min<size_t>(
+                std::max(1u, opts.jobs), entries.size())));
+            pool.run(static_cast<u32>(entries.size()), [&](u32 i, u32) {
+                if (entries[i].status != ServiceStatus::kOk)
+                    return; // parse error, already recorded
+                if (gInterrupted.load()) {
+                    results[i].status = ServiceStatus::kCancelled;
+                    results[i].error = "interrupted";
+                    return;
                 }
-            };
-            std::vector<Thread> threads;
-            const u32 numWorkers = static_cast<u32>(std::min<size_t>(
-                std::max(1u, opts.jobs), entries.size()));
-            for (u32 w = 1; w < numWorkers; ++w)
-                threads.emplace_back(worker);
-            if (numWorkers > 0)
-                worker();
-            for (Thread &t : threads)
-                t.join();
+                ServiceRequest req;
+                req.workload = entries[i].workload;
+                req.configName = entries[i].configName;
+                req.overrides = entries[i].overrides;
+                if (haveSms)
+                    req.overrides.emplace_back("numSms",
+                                               std::to_string(sms));
+                if (haveRounds)
+                    req.overrides.emplace_back("roundsPerSm",
+                                               std::to_string(rounds));
+                req.deadlineMs = deadlineMs;
+                std::string error;
+                results[i].status = coordinator.run(req, results[i], error);
+                if (results[i].error.empty())
+                    results[i].error = error;
+            });
 
             u64 ok = 0, cached = 0, failed = 0, cancelled = 0;
             for (size_t i = 0; i < results.size(); ++i) {

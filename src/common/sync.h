@@ -5,18 +5,17 @@
  * `std::shared_mutex`, `std::condition_variable` or `std::thread`
  * (enforced by tools/lint/concurrency_lint.py).
  *
- * Every lock in the concurrent core (ThreadPool, WorkStealingPool,
- * ResultCache, ArtifactStore, SimdServer) is one of these wrappers,
- * and every field a lock guards is annotated with RFV_GUARDED_BY.
- * Under Clang, `-Wthread-safety -Wthread-safety-beta` (promoted to
- * errors by the RFV_THREAD_SAFETY CMake option and the thread-safety
- * CI job) then *proves* the lock discipline at compile time: an
- * unguarded access to a guarded field, a call to an RFV_REQUIRES
- * helper without the lock, or an acquisition that violates a declared
- * RFV_ACQUIRED_AFTER order is a build break, not a TSan roll of the
- * dice.  Under GCC (and any compiler without the attributes) the
- * macros expand to nothing and the wrappers are zero-cost aliases of
- * the std primitives.
+ * Every lock in the concurrent core (WorkStealingPool, ResultCache,
+ * ArtifactStore, SimdServer) is one of these wrappers, and every field
+ * a lock guards is annotated with RFV_GUARDED_BY.  Under Clang,
+ * `-Wthread-safety -Wthread-safety-beta` (promoted to errors by the
+ * RFV_THREAD_SAFETY CMake option and the thread-safety CI job) then
+ * *proves* the lock discipline at compile time: an unguarded access
+ * to a guarded field, a call to an RFV_REQUIRES helper without the
+ * lock, or an acquisition that violates a declared RFV_ACQUIRED_AFTER
+ * order is a build break, not a TSan roll of the dice.  Under GCC (and
+ * any compiler without the attributes) the macros expand to nothing
+ * and the wrappers are zero-cost aliases of the std primitives.
  *
  * Design rules the wrappers bake in:
  *
@@ -119,14 +118,6 @@
 
 /** Function returns a reference to the named capability. */
 #define RFV_RETURN_CAPABILITY(x) RFV_THREAD_ANNOTATION(lock_returned(x))
-
-/**
- * Escape hatch for protocols the analysis cannot express (e.g. the
- * ThreadPool generation handshake).  Every use must carry a comment
- * explaining the manual proof.
- */
-#define RFV_NO_THREAD_SAFETY_ANALYSIS                                     \
-    RFV_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace rfv {
 

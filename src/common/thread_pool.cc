@@ -2,198 +2,6 @@
 
 namespace rfv {
 
-// ---- ThreadPool --------------------------------------------------------
-
-ThreadPool::ThreadPool(u32 num_threads)
-{
-    workers_.reserve(num_threads);
-    for (u32 i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    // relaxed: the generation_ bump below is seq_cst and orders this
-    // store for spinners; parked workers re-check under parkMu_.
-    stop_.store(true, std::memory_order_relaxed);
-    // Wake spinners: workers re-check stop_ after every generation
-    // poll, and the bump orders the stop_ store before it.  Parked
-    // workers need the notify as well.
-    generation_.fetch_add(1);
-    {
-        MutexLock lk(parkMu_);
-        parkCv_.notifyAll();
-    }
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::wakeWorkers()
-{
-    if (sleepers_.load() > 0) {
-        MutexLock lk(parkMu_);
-        parkCv_.notifyAll();
-    }
-}
-
-void
-ThreadPool::runTasks(const std::function<void(u32)> &fn)
-{
-    for (;;) {
-        // relaxed: the claim counter only partitions indices; the
-        // tasks themselves synchronize through done_ (release).
-        const u32 i = nextIndex_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count_)
-            break;
-        try {
-            fn(i);
-        } catch (...) {
-            MutexLock lk(errorMu_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-            // relaxed: ordered for the coordinator by the done_
-            // release bump below (it reads done_ with acquire).
-            hasError_.store(true, std::memory_order_relaxed);
-        }
-        // The finisher of the last index wakes a parked coordinator.
-        if (done_.fetch_add(1, std::memory_order_release) + 1 == count_ &&
-            waiterParked_.load()) {
-            MutexLock lk(parkMu_);
-            waitCv_.notifyAll();
-        }
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    u64 seen = 0;
-    for (;;) {
-        Backoff backoff;
-        while (generation_.load(std::memory_order_acquire) == seen) {
-            // relaxed: stop_ is ordered by the destructor's seq_cst
-            // generation_ bump; a late observation only costs one
-            // extra poll iteration.
-            if (stop_.load(std::memory_order_relaxed))
-                return;
-            if (backoff.shouldPark()) {
-                // Bounded backoff elapsed: park until the next round.
-                // The wait predicate re-checks generation_ under the
-                // mutex, and the coordinator bumps generation_ before
-                // reading sleepers_, so the wakeup cannot be missed
-                // (both accesses are seq_cst).  The predicate touches
-                // atomics only, so the lambda form is analysis-clean.
-                MutexLock lk(parkMu_);
-                sleepers_.fetch_add(1);
-                // relaxed: parks_ is a monotonic statistic.
-                parks_.fetch_add(1, std::memory_order_relaxed);
-                parkCv_.wait(lk, [&] {
-                    // relaxed: same stop_ ordering argument as above.
-                    return generation_.load() != seen ||
-                           stop_.load(std::memory_order_relaxed);
-                });
-                sleepers_.fetch_sub(1);
-                break;
-            }
-            backoff.pause();
-        }
-        // relaxed: ordered by the generation_ acquire loop above.
-        if (stop_.load(std::memory_order_relaxed))
-            return;
-        // relaxed: the acquire load in the spin loop already ordered
-        // this round's fn_/count_ publication.
-        seen = generation_.load(std::memory_order_relaxed);
-        runTasks(*fn_);
-        // Announce that this worker is out of the round, so the
-        // coordinator knows when it is safe to publish the next
-        // round's (fn_, count_).
-        if (exited_.fetch_add(1) + 1 == size() && waiterParked_.load()) {
-            MutexLock lk(parkMu_);
-            waitCv_.notifyAll();
-        }
-    }
-}
-
-void
-ThreadPool::parallelFor(u32 count, const std::function<void(u32)> &fn)
-{
-    if (count == 0)
-        return;
-    if (workers_.empty()) {
-        for (u32 i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-
-    // Retire the previous round: every worker must have left
-    // runTasks before fn_/count_ may be overwritten.  parallelFor
-    // itself only waits for task *completion*, so stragglers that
-    // claimed no index can still be draining their claim loop here.
-    if (roundOpen_) {
-        Backoff retire;
-        while (exited_.load() < size()) {
-            if (retire.shouldPark()) {
-                MutexLock lk(parkMu_);
-                waiterParked_.store(true);
-                waitCv_.wait(lk, [&] { return exited_.load() >= size(); });
-                waiterParked_.store(false);
-                break;
-            }
-            retire.pause();
-        }
-    }
-
-    fn_ = &fn;
-    count_ = count;
-    // relaxed: all three round counters are published to workers by
-    // the seq_cst generation_ bump below.
-    nextIndex_.store(0, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
-    exited_.store(0, std::memory_order_relaxed);
-    roundOpen_ = true;
-    generation_.fetch_add(1);
-    wakeWorkers();
-
-    runTasks(fn); // the coordinator is a worker too
-
-    Backoff backoff;
-    while (done_.load(std::memory_order_acquire) < count) {
-        if (backoff.shouldPark()) {
-            MutexLock lk(parkMu_);
-            waiterParked_.store(true);
-            waitCv_.wait(lk, [&] {
-                return done_.load(std::memory_order_acquire) >= count;
-            });
-            waiterParked_.store(false);
-            break;
-        }
-        backoff.pause();
-    }
-
-    // relaxed: a task's hasError_ store happens-before its done_
-    // release bump, and the acquire loop above saw done_ == count, so
-    // every round error is visible here without extra ordering.  The
-    // flag keeps the per-cycle fast path free of errorMu_; the
-    // exception itself is read (and the slot reset for the next
-    // round) under the lock.
-    if (hasError_.load(std::memory_order_relaxed)) {
-        std::exception_ptr e;
-        {
-            MutexLock lk(errorMu_);
-            e = firstError_;
-            firstError_ = nullptr;
-        }
-        // relaxed: only this (coordinator) thread clears the flag,
-        // and worker stores for later rounds are ordered by done_.
-        hasError_.store(false, std::memory_order_relaxed);
-        if (e)
-            std::rethrow_exception(e);
-    }
-}
-
-// ---- WorkStealingPool --------------------------------------------------
-
 WorkStealingPool::WorkStealingPool(u32 num_threads)
 {
     const u32 n = num_threads == 0 ? 1 : num_threads;

@@ -1,23 +1,11 @@
 /**
  * @file
- * Thread pools for the two parallelism grains of the simulator:
- *
- *  - ThreadPool: persistent workers with a barrier-style parallelFor,
- *    built for the multi-SM cycle loop (one round per simulated
- *    cycle).  Workers spin briefly between rounds — a condition
- *    variable wake costs microseconds, which would dwarf the
- *    sub-microsecond barrier the cycle loop needs — but the spin is
- *    *bounded*: after an exponential spin/yield backoff they park on
- *    a condition variable, so pools whose coordinator is busy (or
- *    pools belonging to jobs queued behind others in a sweep) stop
- *    burning CPU instead of spinning at 100% until the next round.
- *
- *  - WorkStealingPool: coarse-grained job scheduler for batch sweeps.
- *    Jobs are dealt round-robin into per-worker deques; owners pop
- *    from the front, idle workers steal from the back of a victim's
- *    deque, and workers with nothing left to steal leave the round
- *    (no spinning while a long job drains).  Between rounds workers
- *    park on a condition variable.
+ * WorkStealingPool: the one pool for job-grain work (whole
+ * simulations in a sweep, fuzz scenarios).  Jobs are dealt
+ * round-robin into per-worker deques; owners pop from the front, idle
+ * workers steal from the back of a victim's deque, and workers with
+ * nothing left to steal leave the round (no spinning while a long job
+ * drains).  Between rounds workers park on a condition variable.
  */
 #ifndef RFV_COMMON_THREAD_POOL_H
 #define RFV_COMMON_THREAD_POOL_H
@@ -33,112 +21,6 @@
 #include "common/types.h"
 
 namespace rfv {
-
-/**
- * Progressive wait: pure spins, then yields, then (if the caller asks)
- * parking.  shouldPark() turns true only after the bounded spin/yield
- * phase has elapsed, so short waits never touch a mutex.
- */
-struct Backoff {
-    u32 iters = 0;
-
-    void
-    pause()
-    {
-        ++iters;
-        if (iters > 64)
-            std::this_thread::yield();
-    }
-
-    /** True once spinning has gone on long enough to justify a park. */
-    bool
-    shouldPark() const
-    {
-        return iters > 4096;
-    }
-
-    void reset() { iters = 0; }
-};
-
-/**
- * Fixed-size pool running index-based task batches.
- *
- * parallelFor(n, fn) runs fn(0) … fn(n-1) across the workers *and*
- * the calling thread, returning only when every index has completed
- * (a full barrier).  Exceptions thrown by tasks are captured and the
- * first one is rethrown on the calling thread after the barrier, so
- * simulator panics propagate exactly as they do sequentially.
- */
-class ThreadPool {
-  public:
-    /** Spawn @p numThreads workers (0 = run everything inline). */
-    explicit ThreadPool(u32 numThreads);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    u32 size() const { return static_cast<u32>(workers_.size()); }
-
-    /** Run fn(i) for i in [0, count); returns after all complete. */
-    void parallelFor(u32 count, const std::function<void(u32)> &fn);
-
-    /** Times workers parked between rounds (idle accounting). */
-    u64
-    parks() const
-    {
-        // relaxed: monotonic statistic, read for reporting only.
-        return parks_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void workerLoop();
-    void runTasks(const std::function<void(u32)> &fn);
-    void wakeWorkers() RFV_EXCLUDES(parkMu_);
-
-    std::vector<Thread> workers_;
-
-    // Round state: the coordinator publishes (fn_, count_) and bumps
-    // generation_ (release); workers observe the bump (acquire) and
-    // race on nextIndex_; each finished index bumps done_, and each
-    // worker leaving the round bumps exited_ (the coordinator must
-    // see exited_ == size() before publishing the next round).
-    //
-    // fn_/count_/roundOpen_ carry no RFV_GUARDED_BY on purpose: they
-    // are synchronized by the generation_ release/acquire handshake
-    // above, not by any mutex — a protocol the thread-safety analysis
-    // cannot express (ARCHITECTURE.md §9 documents the manual proof;
-    // TSan remains the checker for this one structure).
-    std::atomic<u64> generation_{0};
-    std::atomic<bool> stop_{false};
-    const std::function<void(u32)> *fn_ = nullptr;
-    u32 count_ = 0;
-    bool roundOpen_ = false;
-    std::atomic<u32> nextIndex_{0};
-    std::atomic<u32> done_{0};
-    std::atomic<u32> exited_{0};
-
-    // Parking: workers that exhaust their spin/yield budget sleep on
-    // parkCv_; the coordinator notifies after bumping generation_ when
-    // sleepers_ is nonzero.  The coordinator itself parks on waitCv_
-    // (flagged by waiterParked_) while waiting for done_/exited_, and
-    // the worker that retires the last index/exit notifies it.  All
-    // wait predicates read atomics only, so parkMu_ guards no fields.
-    Mutex parkMu_;
-    CondVar parkCv_;
-    CondVar waitCv_;
-    std::atomic<u32> sleepers_{0};
-    std::atomic<bool> waiterParked_{false};
-    std::atomic<u64> parks_{0};
-
-    // Error funnel: tasks record the first exception under errorMu_
-    // and raise hasError_; the coordinator checks the flag after the
-    // done_ barrier (which orders the stores) so the per-cycle fast
-    // path never touches the mutex, then harvests under the lock.
-    Mutex errorMu_;
-    std::exception_ptr firstError_ RFV_GUARDED_BY(errorMu_);
-    std::atomic<bool> hasError_{false};
-};
 
 /**
  * Work-stealing scheduler for coarse jobs (whole simulations).

@@ -49,12 +49,6 @@ struct RunConfig {
     u32 roundsPerSm = 3; //!< grid scaling (0 = full Table-1 grid)
 
     /**
-     * Worker threads for the multi-SM cycle loop (0 = sequential).
-     * Results are bit-identical either way; see GpuConfig.
-     */
-    u32 numWorkerThreads = 0;
-
-    /**
      * Event-driven cycle loop with fast-forward over quiescent
      * windows (default).  Results are bit-identical to the naive
      * step-every-cycle loop; disable to use the naive loop as the

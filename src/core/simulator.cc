@@ -14,7 +14,6 @@ Simulator::gpuConfig() const
 {
     GpuConfig gpu;
     gpu.numSms = cfg_.numSms;
-    gpu.numWorkerThreads = cfg_.numWorkerThreads;
     gpu.eventDriven = cfg_.eventDriven;
     gpu.regFile.mode = cfg_.mode;
     gpu.regFile.sizeBytes = cfg_.rfSizeBytes;

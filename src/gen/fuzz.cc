@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-
 #include <set>
+#include <sstream>
 
 #include "analysis/mutation.h"
 #include "analysis/verifier.h"
@@ -40,7 +40,8 @@ paletteConfig(u32 pick)
  * deliberately excluded: the event-driven loop *accounts* cycles
  * differently from the naive loop (skipped vs stepped) while producing
  * the same architectural results — which is exactly the equivalence
- * under test.
+ * under test — and the result-cache key canonicalizes eventDriven, so
+ * a cached replay may carry the other loop's accounting.
  */
 bool
 equivalentOutcomes(const RunOutcome &a, const RunOutcome &b)
@@ -183,14 +184,29 @@ runOracle(SweepEngine &engine, const GenSpec &spec,
                                "disagree (sim/energy/compile)");
         return std::nullopt;
       }
-      case FuzzOracle::kDiffThreads: {
-        SweepJob par = job;
-        par.config.numWorkerThreads = 3;
-        const RunOutcome a = engine.executeLive(engine.prepare(job));
-        const RunOutcome b = engine.executeLive(engine.prepare(par));
-        if (!equivalentOutcomes(a, b))
-            return std::string("sequential and parallel multi-SM "
-                               "loops disagree (sim/energy/compile)");
+      case FuzzOracle::kReplay: {
+        const RunOutcome live = engine.executeLive(engine.prepare(job));
+        // The codec must be exact, LoopStats included: it is both the
+        // disk-tier entry format and the wire's RESULT blob.
+        std::stringstream blob;
+        ResultCache::serialize(blob, live);
+        try {
+            if (!(ResultCache::deserialize(blob) == live))
+                return std::string("result codec round trip changed "
+                                   "the outcome");
+        } catch (const std::exception &e) {
+            return std::string("result codec cannot read its own "
+                               "output: ") +
+                   e.what();
+        }
+        // A memory-tier hit after the self-check oracle (a disk-tier
+        // hit on a warm cache directory) must replay the live run.
+        const SweepJobResult r = engine.execute(job);
+        if (!r.ok())
+            return serviceStatusName(r.status) + std::string(": ") + r.error;
+        if (!equivalentOutcomes(r.outcome, live))
+            return std::string("cached replay and live run disagree "
+                               "(sim/energy/compile)");
         return std::nullopt;
       }
       case FuzzOracle::kMutation: {
@@ -226,7 +242,7 @@ fuzzOracleName(FuzzOracle o)
       case FuzzOracle::kSelfCheck: return "selfcheck";
       case FuzzOracle::kSoundness: return "soundness";
       case FuzzOracle::kDiffLoop: return "diff-loop";
-      case FuzzOracle::kDiffThreads: return "diff-threads";
+      case FuzzOracle::kReplay: return "replay";
       case FuzzOracle::kMutation: return "mutation";
     }
     return "?";
@@ -282,7 +298,7 @@ checkScenario(SweepEngine &engine, const FuzzScenario &sc,
         FuzzOracle::kSelfCheck,
         FuzzOracle::kSoundness,
         FuzzOracle::kDiffLoop,
-        FuzzOracle::kDiffThreads,
+        FuzzOracle::kReplay,
     };
     for (FuzzOracle o : oracles) {
         if (o == FuzzOracle::kSoundness && !sc.config.verifyReleases)
@@ -337,20 +353,18 @@ runFuzz(const FuzzOptions &opts)
 
     Mutex mu;
     FuzzReport shared; // counters + failures merged under mu
-    ThreadPool pool(opts.jobs > 1 ? opts.jobs : 0);
-    pool.parallelFor(
-        static_cast<u32>(opts.scenarios), [&](u32 i) {
-            const FuzzScenario sc =
-                deriveScenario(opts.seed, i, opts.mutateEvery);
-            FuzzReport local;
-            auto failure = checkScenario(engine, sc, &local);
-            MutexLock lock(mu);
-            shared.oracleChecks += local.oracleChecks;
-            shared.mutationsCaught += local.mutationsCaught;
-            shared.mutationsBenign += local.mutationsBenign;
-            if (failure)
-                shared.failures.push_back(std::move(*failure));
-        });
+    WorkStealingPool pool(opts.jobs);
+    pool.run(static_cast<u32>(opts.scenarios), [&](u32 i, u32 /*worker*/) {
+        const FuzzScenario sc = deriveScenario(opts.seed, i, opts.mutateEvery);
+        FuzzReport local;
+        auto failure = checkScenario(engine, sc, &local);
+        MutexLock lock(mu);
+        shared.oracleChecks += local.oracleChecks;
+        shared.mutationsCaught += local.mutationsCaught;
+        shared.mutationsBenign += local.mutationsBenign;
+        if (failure)
+            shared.failures.push_back(std::move(*failure));
+    });
     report.oracleChecks = shared.oracleChecks;
     report.mutationsCaught = shared.mutationsCaught;
     report.mutationsBenign = shared.mutationsBenign;

@@ -13,8 +13,11 @@
  *                     errors on the virtualized compilation
  *   3. diff-loop    — the event-driven and naive cycle loops produce
  *                     bit-identical results (sim/energy/compile)
- *   4. diff-threads — the sequential and parallel multi-SM loops
- *                     produce bit-identical results
+ *   4. replay       — one live outcome survives the result codec
+ *                     (ResultCache::serialize/deserialize, also the
+ *                     wire's RESULT blob) unchanged, LoopStats
+ *                     included, and the cache-backed execute() path
+ *                     replays the same results
  *
  * Scenarios can additionally *inject* a release-flag fault
  * (applyReleaseMutation on the compiled program) and assert the
@@ -45,7 +48,7 @@ enum class FuzzOracle : u8 {
     kSelfCheck,
     kSoundness,
     kDiffLoop,
-    kDiffThreads,
+    kReplay,
     kMutation, //!< injected fault: detected, benign, or SILENT (fail)
 };
 

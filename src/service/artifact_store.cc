@@ -57,8 +57,7 @@ ArtifactStore::decode(const std::shared_ptr<const CompiledArtifact> &ck,
     Hasher h;
     h.u64v(ck->programHash.hi);
     h.u64v(ck->programHash.lo);
-    // addGpuConfig already canonicalizes the decode-irrelevant knobs
-    // (eventDriven, numWorkerThreads, checkSmOverlap), so the naive
+    // addGpuConfig already canonicalizes eventDriven, so the naive
     // and event-driven loops share one DecodeCache.
     addGpuConfig(h, gpu);
     return decodes_.getOrBuild(

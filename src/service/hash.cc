@@ -91,11 +91,11 @@ hashProgram(const Program &prog)
 // for the x86-64 System V ABI both CI and the dev container use.
 static_assert(sizeof(RegFileConfig) == 28,
               "RegFileConfig changed: update addGpuConfig()");
-static_assert(sizeof(GpuConfig) == 152,
+static_assert(sizeof(GpuConfig) == 144,
               "GpuConfig changed: update addGpuConfig()");
 static_assert(sizeof(CompileOptions) == 20,
               "CompileOptions changed: update addCompileOptions()");
-static_assert(sizeof(RunConfig) == 80,
+static_assert(sizeof(RunConfig) == 72,
               "RunConfig changed: update canonicalConfigHash()");
 
 void
@@ -126,10 +126,8 @@ addGpuConfig(Hasher &h, const GpuConfig &cfg)
     h.boolv(cfg.flagMissBubble);
     h.u32v(cfg.spillCooldown);
     h.u64v(cfg.maxCycles);
-    // Canonicalized out: eventDriven, numWorkerThreads (bit-identical
-    // results either way; enforced by test_event_equivalence and
-    // test_parallel_equivalence) and checkSmOverlap (debug assertion
-    // only, changes no counter).
+    // Canonicalized out: eventDriven (bit-identical results either
+    // way; enforced by test_event_equivalence).
     h.u32v(cfg.regFile.sizeBytes);
     h.u32v(cfg.regFile.numBanks);
     h.u32v(cfg.regFile.subarraysPerBank);
@@ -159,8 +157,8 @@ canonicalConfigHash(const RunConfig &cfg, const GpuConfig &gpu)
     Hasher h;
     addGpuConfig(h, gpu);
     // RunConfig fields that shape compilation or launch geometry but
-    // do not land in GpuConfig.  label, numWorkerThreads and
-    // eventDriven are deliberately absent (see file comment).
+    // do not land in GpuConfig.  label and eventDriven are
+    // deliberately absent (see file comment).
     h.boolv(cfg.virtualize);
     h.boolv(cfg.aggressiveDiverged);
     h.u32v(cfg.renamingTableBytes);

@@ -11,9 +11,8 @@
  *
  * Canonicalization: the result-cache key must identify the *simulated
  * outcome*, so fields proven not to affect results are normalized out
- * before hashing — RunConfig::label (cosmetic), numWorkerThreads and
- * eventDriven (bit-identical by the PR 1/PR 3 equivalence suites) and
- * the debug-only checkSmOverlap flag.  Every other GpuConfig and
+ * before hashing — RunConfig::label (cosmetic) and eventDriven
+ * (bit-identical by test_event_equivalence).  Every other GpuConfig and
  * RunConfig field feeds the key, so changing any of them invalidates
  * cached results (tests/test_sweep_cache.cc exercises this field by
  * field).
@@ -105,8 +104,7 @@ Hash128 hashProgram(const Program &prog);
 
 /**
  * Feed every result-relevant GpuConfig field into @p h, with the
- * canonicalized fields (numWorkerThreads, eventDriven, checkSmOverlap)
- * normalized out.
+ * canonicalized field (eventDriven) normalized out.
  */
 void addGpuConfig(Hasher &h, const GpuConfig &cfg);
 
@@ -116,8 +114,7 @@ void addCompileOptions(Hasher &h, const CompileOptions &opts);
 /**
  * Canonical configuration digest of a RunConfig: the derived GpuConfig
  * (via Simulator::gpuConfig) plus the compile- and launch-relevant
- * RunConfig extras.  label/numWorkerThreads/eventDriven do not feed
- * the digest.
+ * RunConfig extras.  label and eventDriven do not feed the digest.
  */
 Hash128 canonicalConfigHash(const RunConfig &cfg);
 

@@ -94,8 +94,6 @@ applyConfigOverride(RunConfig &cfg, const std::string &key,
         parsed = parseU32(value, cfg.flagCacheEntries);
     else if (key == "renamingTableBytes")
         parsed = parseU32(value, cfg.renamingTableBytes);
-    else if (key == "numWorkerThreads")
-        parsed = parseU32(value, cfg.numWorkerThreads);
     else if (key == "powerGating")
         parsed = parseBool(value, cfg.powerGating);
     else if (key == "aggressiveDiverged")

@@ -18,10 +18,8 @@ Gpu::Gpu(const GpuConfig &cfg, const Program &prog,
     prog_.validate();
     fatalIf(launch_.gridCtas == 0, "empty grid");
     fatalIf(launch_.threadsPerCta == 0, "empty CTA");
-    if (cfg_.checkSmOverlap)
-        gmem_.enableOverlapCheck();
     // One DRAM channel per SM: SMs share no mutable timing state, so
-    // stepping them on worker threads cannot reorder DRAM service.
+    // an SM's DRAM service does not depend on the order SMs step in.
     // dramCyclesPerTransaction is the GPU-wide service interval, so
     // each channel gets an SM-count multiple of it — aggregate
     // bandwidth stays fixed as the machine scales, each SM owning a
@@ -116,15 +114,7 @@ Gpu::run()
     Cycle cycle = 0;
     loopStats_ = LoopStats{};
 
-    // Worker pool for SM stepping (coordinator participates, so N
-    // workers means N+1 stepping threads; capped at one worker per
-    // SM beyond the coordinator's share).
-    std::unique_ptr<ThreadPool> pool;
     const u32 num_sms = static_cast<u32>(sms_.size());
-    if (cfg_.numWorkerThreads > 0 && num_sms > 1) {
-        pool = std::make_unique<ThreadPool>(
-            std::min(cfg_.numWorkerThreads, num_sms - 1));
-    }
 
     // Per-cycle trace hooks observe every cycle, so they force the
     // naive loop; results are bit-identical either way.
@@ -132,7 +122,6 @@ Gpu::run()
         cfg_.eventDriven && !hooks_.liveSample && !hooks_.regEvent;
 
     // Earliest cycle each SM's state can change (0 = step immediately).
-    // Not vector<bool>: workers write distinct elements concurrently.
     std::vector<Cycle> next_wake(num_sms, 0);
     std::vector<u8> stepped(num_sms, 1);
     std::vector<u8> launched(num_sms, 0);
@@ -199,26 +188,16 @@ Gpu::run()
             }
         }
 
-        if (pool) {
-            pool->parallelFor(num_sms, [this, cycle, &stepped](u32 i) {
-                if (stepped[i])
-                    sms_[i]->step(cycle);
-                else
-                    sms_[i]->skipCycles(1);
-            });
-        } else {
-            for (u32 i = 0; i < num_sms; ++i) {
-                if (stepped[i])
-                    sms_[i]->step(cycle);
-                else
-                    sms_[i]->skipCycles(1);
-            }
+        for (u32 i = 0; i < num_sms; ++i) {
+            if (stepped[i])
+                sms_[i]->step(cycle);
+            else
+                sms_[i]->skipCycles(1);
         }
         ++loopStats_.steppedCycles;
 
-        // End-of-cycle barrier work, on the coordinator thread:
-        // commit atomics in SM-id order (the order the sequential
-        // loop would produce), then dispatch CTAs.
+        // End of cycle: commit atomics in SM-id order, then dispatch
+        // CTAs.
         for (auto &sm : sms_)
             sm->commitAtomics(cycle);
 
@@ -246,13 +225,6 @@ Gpu::run()
     panicIf(completed != launch_.gridCtas,
             "not all CTAs completed at end of simulation");
 
-    panicIf(gmem_.overlapViolations() > 0,
-            gmem_.firstOverlap() + " (" +
-                std::to_string(gmem_.overlapViolations()) +
-                " conflicting accesses total)");
-
-    // Per-SM loop profiles accumulate without sharing (one thread
-    // steps an SM); summing here happens after the workers joined.
     if (hooks_.loopProfile != nullptr)
         for (const auto &sm : sms_)
             *hooks_.loopProfile += sm->loopProfile();

@@ -1,14 +1,13 @@
 /**
  * @file
- * Multi-SM GPU driver: CTA dispatch, the (optionally parallel) cycle
- * loop, and result aggregation.
+ * Multi-SM GPU driver: CTA dispatch, the cycle loop, and result
+ * aggregation.
  */
 #ifndef RFV_SIM_GPU_H
 #define RFV_SIM_GPU_H
 
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "sim/sm.h"
 
 namespace rfv {
@@ -54,7 +53,7 @@ struct SimResult {
     /** Kernel footprint, for allocation-reduction metrics. */
     u32 regsPerWarp = 0;
 
-    /** Field-wise equality (sequential-vs-parallel determinism). */
+    /** Field-wise equality (the naive-vs-event equivalence oracle). */
     bool operator==(const SimResult &) const = default;
 
     /**
@@ -112,13 +111,10 @@ struct LoopStats {
 /**
  * One GPU instance bound to a compiled kernel and its memory.
  *
- * The cycle loop steps every SM once per cycle.  With
- * GpuConfig::numWorkerThreads > 0 the steps run on a ThreadPool with
- * a barrier per cycle; DRAM is sharded one channel per SM, atomics
- * commit at the barrier in SM-id order, and CTA dispatch stays on the
- * coordinator thread, so parallel runs produce a SimResult
- * bit-identical to sequential runs (enforced by
- * tests/test_parallel_equivalence.cc).
+ * The cycle loop steps every SM once per cycle, in SM-id order.
+ * DRAM is sharded one channel per SM, global-memory atomics commit at
+ * the end of the cycle in SM-id order, and CTAs are dispatched after
+ * that (docs/ARCHITECTURE.md §3.4).
  *
  * With GpuConfig::eventDriven (the default) the loop additionally
  * skips cycles no SM can use: each SM reports the earliest cycle its

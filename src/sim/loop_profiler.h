@@ -12,8 +12,7 @@
  * *which* phase got faster instead of quoting one aggregate number.
  * Sampling keeps the clock reads from distorting what they measure:
  * timing every step roughly doubled the step's cost.
- * Profiles are per-Sm (no sharing, no locks; one thread steps an SM)
- * and summed by Gpu::run() after the worker threads have joined.
+ * Profiles are per-Sm and summed by Gpu::run() when the run ends.
  */
 #ifndef RFV_SIM_LOOP_PROFILER_H
 #define RFV_SIM_LOOP_PROFILER_H

@@ -6,30 +6,6 @@
 
 namespace rfv {
 
-namespace {
-
-constexpr u64 kNeverWritten = 0;
-
-u64
-packWriter(u32 sm_id, Cycle now)
-{
-    return ((now + 1) << 16) | sm_id;
-}
-
-u32
-writerSm(u64 packed)
-{
-    return static_cast<u32>(packed & 0xffffu);
-}
-
-Cycle
-writerCycle(u64 packed)
-{
-    return (packed >> 16) - 1;
-}
-
-} // namespace
-
 GlobalMemory::GlobalMemory(u32 bytes)
     : numWords_(bytes / 4), // one spare word: calloc(0) may return null
       words_(static_cast<u32 *>(std::calloc(numWords_ + 1, sizeof(u32))),
@@ -38,76 +14,6 @@ GlobalMemory::GlobalMemory(u32 bytes)
     fatalIf(bytes % 4 != 0, "global memory size must be word aligned");
     if (!words_)
         throw std::bad_alloc();
-}
-
-void
-GlobalMemory::enableOverlapCheck()
-{
-    // make_unique value-initializes: every entry starts kNeverWritten.
-    lastWrite_ = std::make_unique<std::atomic<u64>[]>(numWords_);
-    lastRead_ = std::make_unique<std::atomic<u64>[]>(numWords_);
-}
-
-void
-GlobalMemory::recordViolation(u32 word, u32 sm_id, u32 other_sm,
-                              Cycle now) const
-{
-    // relaxed: monotonic statistic; the descriptive string below is
-    // published by the acq_rel CAS, not by this counter.
-    violations_.fetch_add(1, std::memory_order_relaxed);
-    bool expected = false;
-    if (firstRecorded_.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel)) {
-        const_cast<GlobalMemory *>(this)->first_ =
-            "cross-SM overlap: word " + std::to_string(word) +
-            " written by SM " + std::to_string(other_sm) +
-            " and accessed by SM " + std::to_string(sm_id) +
-            " in cycle " + std::to_string(now) +
-            " (non-atomic CTA outputs must be disjoint)";
-    }
-}
-
-void
-GlobalMemory::checkRead(u32 word, u32 sm_id, Cycle now) const
-{
-    // relaxed: the checker only compares (sm, cycle) tags; atomicity
-    // keeps the tag words tear-free, and cross-thread visibility is
-    // provided by the simulator's own per-cycle barriers — the check
-    // needs no ordering of its own.
-    lastRead_[word].store(packWriter(sm_id, now),
-                          std::memory_order_relaxed);
-    // relaxed: see above.
-    const u64 prev = lastWrite_[word].load(std::memory_order_relaxed);
-    if (prev != kNeverWritten && writerSm(prev) != sm_id &&
-        writerCycle(prev) == now) {
-        recordViolation(word, sm_id, writerSm(prev), now);
-    }
-}
-
-void
-GlobalMemory::checkWrite(u32 word, u32 sm_id, Cycle now)
-{
-    // relaxed: tag bookkeeping only; see checkRead for the argument.
-    const u64 prev = lastWrite_[word].exchange(
-        packWriter(sm_id, now), std::memory_order_relaxed);
-    if (prev != kNeverWritten && writerSm(prev) != sm_id &&
-        writerCycle(prev) == now) {
-        recordViolation(word, sm_id, writerSm(prev), now);
-    }
-    // relaxed: tag bookkeeping only; see checkRead for the argument.
-    const u64 read = lastRead_[word].load(std::memory_order_relaxed);
-    if (read != kNeverWritten && writerSm(read) != sm_id &&
-        writerCycle(read) == now) {
-        recordViolation(word, sm_id, writerSm(read), now);
-    }
-}
-
-std::string
-GlobalMemory::firstOverlap() const
-{
-    if (!firstRecorded_.load(std::memory_order_acquire))
-        return "";
-    return first_;
 }
 
 u32

@@ -5,7 +5,6 @@
 #ifndef RFV_SIM_MEMORY_H
 #define RFV_SIM_MEMORY_H
 
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -18,17 +17,9 @@ namespace rfv {
 
 /**
  * Flat, word-granular global memory shared by the whole GPU.
- * Addresses are byte addresses and must be 4-byte aligned.
- *
- * Cross-SM safety contract (see docs/ARCHITECTURE.md §3.4): CTAs may
- * freely read shared input data, but the words a CTA writes
- * non-atomically must not be accessed by CTAs on *other* SMs in the
- * same cycle — workloads keep CTA outputs disjoint, and cross-CTA
- * communication goes through atomics (which the GPU commits at the
- * end-of-cycle barrier in SM-id order).  Under that contract the
- * word array needs no locking even with SMs stepping on worker
- * threads, and parallel runs are bit-identical to sequential ones.
- * enableOverlapCheck() arms a debug checker that detects violations.
+ * Addresses are byte addresses and must be 4-byte aligned.  SMs step
+ * one after another within a cycle, and atomics commit at the end of
+ * the cycle in SM-id order (see docs/ARCHITECTURE.md §3.4).
  */
 class GlobalMemory {
   public:
@@ -41,7 +32,7 @@ class GlobalMemory {
 
     u32 sizeBytes() const { return numWords_ * 4; }
 
-    /** Unchecked access (host setup/verify, atomic commit phase). */
+    /** Byte-addressed access; panics on unaligned or out-of-range. */
     u32 load(u32 byteAddr) const
     {
         return words_[wordIndex(byteAddr, "load")];
@@ -51,43 +42,9 @@ class GlobalMemory {
         words_[wordIndex(byteAddr, "store")] = value;
     }
 
-    /**
-     * SM-side access: identical to load/store, but when the overlap
-     * checker is armed it records the access and flags same-cycle
-     * conflicts with writes from other SMs.
-     */
-    u32 load(u32 byteAddr, u32 smId, Cycle now) const
-    {
-        const u32 w = wordIndex(byteAddr, "load");
-        if (lastWrite_) [[unlikely]]
-            checkRead(w, smId, now);
-        return words_[w];
-    }
-    void store(u32 byteAddr, u32 value, u32 smId, Cycle now)
-    {
-        const u32 w = wordIndex(byteAddr, "store");
-        if (lastWrite_) [[unlikely]]
-            checkWrite(w, smId, now);
-        words_[w] = value;
-    }
-
     /** Convenience word accessors for workload setup/verification. */
     u32 word(u32 index) const { return words_[checkedIndex(index)]; }
     void setWord(u32 index, u32 value) { words_[checkedIndex(index)] = value; }
-
-    /** Arm the debug cross-SM overlap checker (off by default). */
-    void enableOverlapCheck();
-
-    /** Same-cycle cross-SM conflicts observed so far. */
-    u64 overlapViolations() const
-    {
-        // relaxed: monotonic statistic, read for reporting after the
-        // run's worker threads have joined.
-        return violations_.load(std::memory_order_relaxed);
-    }
-
-    /** Description of the first conflict ("" if none). */
-    std::string firstOverlap() const;
 
   private:
     u32
@@ -107,26 +64,9 @@ class GlobalMemory {
         panicIf(index >= numWords_, "global memory word out of range");
         return index;
     }
-    void checkRead(u32 word, u32 smId, Cycle now) const;
-    void checkWrite(u32 word, u32 smId, Cycle now);
-    void recordViolation(u32 word, u32 smId, u32 otherSm,
-                         Cycle now) const;
 
     u32 numWords_;
     std::unique_ptr<u32[], decltype(&std::free)> words_;
-
-    // Overlap checker: per word, the last non-atomic writer (and the
-    // last reader) packed as ((cycle + 1) << 16) | smId; 0 = never
-    // accessed by an SM.  Entries are relaxed atomics purely so the
-    // checker itself stays race-free when the access pattern under
-    // test is not.  Read tracking keeps one reader per word (enough
-    // to catch the common one-reader/one-writer conflict; a
-    // best-effort debug aid, not a proof of absence).
-    std::unique_ptr<std::atomic<u64>[]> lastWrite_;
-    std::unique_ptr<std::atomic<u64>[]> lastRead_;
-    mutable std::atomic<u64> violations_{0};
-    mutable std::atomic<bool> firstRecorded_{false};
-    std::string first_;
 };
 
 /** DRAM statistics. */

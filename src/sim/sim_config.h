@@ -78,26 +78,6 @@ struct GpuConfig {
      */
     bool eventDriven = true;
 
-    /**
-     * Worker threads stepping SMs concurrently inside Gpu::run()
-     * (0 = sequential, the default).  Parallel runs are bit-identical
-     * to sequential runs: DRAM channels are per-SM, global-memory
-     * atomics commit at the end-of-cycle barrier in SM-id order, and
-     * CTA dispatch stays on the coordinator thread between barriers.
-     * TraceHooks callbacks fire from worker threads when this is
-     * nonzero, so hooks must be thread-safe (or run sequentially).
-     */
-    u32 numWorkerThreads = 0;
-
-    /**
-     * Debug mode: detect same-cycle conflicting global-memory
-     * accesses from different SMs (the one access pattern that would
-     * break sequential/parallel equivalence).  Workloads are expected
-     * to keep non-atomic CTA outputs disjoint; violations panic at
-     * the end of the run.
-     */
-    bool checkSmOverlap = false;
-
     RegFileConfig regFile;
 
     void

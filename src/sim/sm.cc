@@ -1000,7 +1000,7 @@ Sm::execute(u32 warp_idx, const Instr &ins, const StaticDecode &dec,
             lanes([&](u32 l) {
                 const u32 a = addr[l] + off;
                 if (ins.op == Opcode::kLdGlobal) {
-                    out[l] = gmem_.load(a, smId_, now);
+                    out[l] = gmem_.load(a);
                     addrScratch_.push_back(a);
                 } else {
                     const u32 word = a / 4;
@@ -1051,10 +1051,8 @@ Sm::execute(u32 warp_idx, const Instr &ins, const StaticDecode &dec,
             addrScratch_.clear();
             lanes([&](u32 l) { addrScratch_.push_back(addr[l] + off); });
             // The memory side effect is deferred to commitAtomics():
-            // the Gpu commits all SMs' atomics at the end-of-cycle
-            // barrier in SM-id order, so cross-SM interleaving is
-            // identical whether SMs step sequentially or on worker
-            // threads.  Lanes commit in lane order (deterministic
+            // the Gpu commits all SMs' atomics at the end of the cycle
+            // in SM-id order.  Lanes commit in lane order (deterministic
             // intra-warp atomicity); cross-warp order follows issue
             // order.  Timing is charged here: addresses are known and
             // the DRAM channel is per-SM.
@@ -1080,7 +1078,7 @@ Sm::execute(u32 warp_idx, const Instr &ins, const StaticDecode &dec,
             lanes([&](u32 l) {
                 const u32 a = addr[l] + off;
                 if (ins.op == Opcode::kStGlobal) {
-                    gmem_.store(a, val[l], smId_, now);
+                    gmem_.store(a, val[l]);
                     addrScratch_.push_back(a);
                 } else {
                     const u32 word = a / 4;

@@ -104,12 +104,12 @@ class Sm {
      *
      * Atomic read-modify-writes are the one place SMs intentionally
      * touch shared memory words, so their side effects are deferred
-     * and committed by the Gpu at the end-of-cycle barrier in SM-id
-     * order — the same order the sequential loop produces — keeping
-     * parallel runs bit-identical to sequential ones.  The destination
-     * register is scoreboarded until the (much later) DRAM completion,
-     * so the deferral is architecturally invisible.  Callers stepping
-     * an Sm directly must invoke this after each step().
+     * and committed by the Gpu at the end of the cycle in SM-id
+     * order, after every SM's plain stores of that cycle.  The
+     * destination register is scoreboarded until the (much later)
+     * DRAM completion, so the deferral is architecturally invisible.
+     * Callers stepping an Sm directly must invoke this after each
+     * step().
      */
     void
     commitAtomics(Cycle now)

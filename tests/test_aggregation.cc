@@ -1,16 +1,12 @@
 /**
  * @file
- * Cross-SM statistics aggregation and the supporting infrastructure:
- * peak counters must be maxima (not sums) across SMs, the ThreadPool
- * barrier semantics must hold, and the debug overlap checker must
- * catch same-cycle cross-SM conflicting global-memory accesses.
+ * Cross-SM statistics aggregation: additive counters sum over SMs,
+ * while peak counters must be maxima (not sums) across SMs.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 
-#include "common/thread_pool.h"
 #include "compiler/pipeline.h"
 #include "isa/builder.h"
 #include "sim/gpu.h"
@@ -99,107 +95,6 @@ TEST(Aggregation, AllocationReductionUsesPerSmPeaks)
     const SimResult four = runUniform(4, 4, RegFileMode::kVirtualized);
     EXPECT_DOUBLE_EQ(four.allocationReductionPct(),
                      one.allocationReductionPct());
-}
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
-{
-    ThreadPool pool(3);
-    std::vector<std::atomic<u32>> hits(257);
-    pool.parallelFor(257, [&](u32 i) {
-        // relaxed: each index is claimed once; the pool's round
-        // barrier orders the counters for the checks below.
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (u32 i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
-}
-
-TEST(ThreadPool, ReusableAcrossRounds)
-{
-    ThreadPool pool(2);
-    std::atomic<u64> sum{0};
-    for (u32 round = 0; round < 200; ++round) {
-        pool.parallelFor(8, [&](u32 i) {
-            // relaxed: commutative accumulation; the round barrier
-            // publishes the total before it is read.
-            sum.fetch_add(i + 1, std::memory_order_relaxed);
-        });
-    }
-    EXPECT_EQ(sum.load(), 200u * 36u);
-}
-
-TEST(ThreadPool, ZeroWorkersRunsInline)
-{
-    ThreadPool pool(0);
-    u32 calls = 0; // no atomics needed: must run on this thread
-    pool.parallelFor(5, [&](u32) { ++calls; });
-    EXPECT_EQ(calls, 5u);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions)
-{
-    ThreadPool pool(2);
-    EXPECT_THROW(pool.parallelFor(16,
-                                  [&](u32 i) {
-                                      if (i == 7)
-                                          panic("boom");
-                                  }),
-                 InternalError);
-    // The pool survives a throwing round.
-    std::atomic<u32> ok{0};
-    pool.parallelFor(4, [&](u32) { ok.fetch_add(1); });
-    EXPECT_EQ(ok.load(), 4u);
-}
-
-/** Kernel where every thread of every CTA writes the same word. */
-Program
-conflictingKernel()
-{
-    KernelBuilder b("conflict");
-    const u32 v = b.reg(), addr = b.reg();
-    b.mov(v, I(42));
-    b.mov(addr, I(0));
-    b.stg(addr, 0, v);
-    b.exit();
-    return b.build();
-}
-
-TEST(OverlapChecker, FlagsSameCycleCrossSmWrites)
-{
-    CompileOptions copts;
-    const auto ck = compileKernel(conflictingKernel(), copts);
-    GlobalMemory mem(4096);
-    LaunchParams launch;
-    launch.gridCtas = 2; // one CTA per SM, in lockstep
-    launch.threadsPerCta = 32;
-    GpuConfig cfg;
-    cfg.numSms = 2;
-    cfg.checkSmOverlap = true;
-    Gpu gpu(cfg, ck.program, launch, mem);
-    try {
-        gpu.run();
-        FAIL() << "overlapping same-cycle cross-SM writes not detected";
-    } catch (const InternalError &e) {
-        EXPECT_NE(std::string(e.what()).find("cross-SM overlap"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(OverlapChecker, DisjointOutputsPass)
-{
-    CompileOptions copts;
-    const auto ck = compileKernel(uniformKernel(), copts);
-    GlobalMemory mem(1 << 16);
-    LaunchParams launch;
-    launch.gridCtas = 4;
-    launch.threadsPerCta = 64;
-    GpuConfig cfg;
-    cfg.numSms = 2;
-    cfg.checkSmOverlap = true;
-    Gpu gpu(cfg, ck.program, launch, mem);
-    const SimResult res = gpu.run();
-    EXPECT_EQ(res.completedCtas, 4u);
 }
 
 } // namespace

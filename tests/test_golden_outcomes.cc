@@ -3,10 +3,12 @@
  * Golden outcomes: pins every RunOutcome of the paper manifest — the
  * 16 Table-1 workloads under baseline, virtualized, shrink50,
  * shrink50-gating and spill50 (80 jobs) — to a digest of its
- * ResultCache::serialize form, LoopStats included.  A change that is
- * meant to be simulation-neutral (a faster SM step, a cheaper memory
- * model) must leave every line of tests/golden/paper_outcomes.txt as
- * it is.
+ * ResultCache::serialize form, LoopStats included — and to its
+ * result-cache key.  A change that is meant to be simulation-neutral
+ * (a faster SM step, a cheaper memory model, a deleted config knob)
+ * must leave every line of tests/golden/paper_outcomes.txt as it is;
+ * an unchanged key column shows that disk-cache entries written before
+ * the change still hit.
  *
  * On a mismatch the test writes the digests it computed to
  * paper_outcomes.actual in its working directory; a change that moves
@@ -76,20 +78,22 @@ TEST(GoldenOutcomes, PaperManifestIsBitIdentical)
         ResultCache::serialize(os, results[i].outcome);
         Hasher h;
         h.str(os.str());
-        actual.push_back(labels[i] + " " + h.digest().hex());
+        actual.push_back(labels[i] + " " + h.digest().hex() + " " +
+                         results[i].key);
     }
 
     const std::vector<std::string> golden = readLines(kGoldenPath);
     if (golden != actual) {
         std::ofstream out("paper_outcomes.actual");
-        out << "# workload config digest(ResultCache::serialize)\n";
+        out << "# workload config digest(ResultCache::serialize) "
+               "resultKey\n";
         for (const std::string &line : actual)
             out << line << '\n';
     }
     ASSERT_EQ(golden.size(), actual.size())
         << "golden file " << kGoldenPath << " is missing or stale";
     for (size_t i = 0; i < actual.size(); ++i)
-        EXPECT_EQ(golden[i], actual[i]) << "outcome moved";
+        EXPECT_EQ(golden[i], actual[i]) << "outcome or result key moved";
 }
 
 } // namespace

@@ -138,8 +138,6 @@ TEST(Memory, OutOfBoundsPanics)
     EXPECT_THROW(mem.store(1000, 1), InternalError);
     EXPECT_THROW(mem.load(2), InternalError); // unaligned
     EXPECT_THROW(mem.store(6, 1), InternalError); // unaligned
-    EXPECT_THROW(mem.load(64, 0, 0), InternalError);
-    EXPECT_THROW(mem.store(62, 1, 0, 0), InternalError);
     EXPECT_THROW(mem.word(16), std::exception);
     EXPECT_THROW(mem.setWord(16, 1), std::exception);
 }

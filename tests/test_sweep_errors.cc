@@ -195,6 +195,26 @@ TEST(RequestParsing, BuildJobClassifiesFailures)
     EXPECT_EQ(job.config.numSms, 2u);
 }
 
+TEST(RequestParsing, RemovedLoopKnobsFailClosed)
+{
+    // The intra-run parallel loop and its overlap checker are gone:
+    // their former `set=` keys must be rejected like any unknown key,
+    // not silently accepted as no-ops.
+    for (const auto &[key, value] :
+         {std::pair<std::string, std::string>{"numWorkerThreads", "4"},
+          {"checkSmOverlap", "1"}}) {
+        ServiceRequest req;
+        req.workload = "BFS";
+        req.configName = "baseline";
+        req.overrides = {{key, value}};
+        SweepJob job;
+        std::string error;
+        EXPECT_EQ(buildJob(req, job, error), ServiceStatus::kBadConfig)
+            << key;
+        EXPECT_EQ(error, "unknown config override key '" + key + "'");
+    }
+}
+
 // ---- manifest parsing ----------------------------------------------------
 
 TEST(ManifestParsing, GoodLinesCommentsAndOverrides)

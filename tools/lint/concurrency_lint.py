@@ -13,9 +13,9 @@ Rules (each with its slug, used in suppression comments):
                   std::recursive_mutex / std::condition_variable[_any] /
                   std::lock_guard / std::unique_lock / std::shared_lock /
                   std::scoped_lock anywhere outside src/common/sync.h.
-  raw-thread      std::thread outside src/common/sync.h and
-                  src/common/thread_pool.{h,cc}.  (std::this_thread is
-                  fine — sleeping is not spawning.)
+  raw-thread      std::thread outside src/common/sync.h.
+                  (std::this_thread is fine — sleeping is not
+                  spawning.)
   manual-lock     .lock() / .unlock() / .try_lock() / .try_lock_for()
                   calls outside src/common/sync.h.  Critical sections
                   are scopes (MutexLock/ReaderLock/WriterLock); a
@@ -49,11 +49,7 @@ EXTENSIONS = (".h", ".hh", ".hpp", ".cc", ".cpp", ".cxx")
 
 # Paths are matched repo-relative with forward slashes.
 SYNC_HEADER = "src/common/sync.h"
-RAW_THREAD_ALLOWED = {
-    SYNC_HEADER,
-    "src/common/thread_pool.h",
-    "src/common/thread_pool.cc",
-}
+RAW_THREAD_ALLOWED = {SYNC_HEADER}
 
 RAW_SYNC_RE = re.compile(
     r"std\s*::\s*("
