@@ -7,7 +7,7 @@
  * Usage:
  *   run_sweep <manifest|--default> [--jobs=N] [--cache-dir=DIR]
  *             [--no-cache] [--cache-budget-mb=N]
- *             [--cache-policy=lru|clock] [--csv=FILE] [--json=FILE]
+ *             [--csv=FILE] [--json=FILE]
  *             [--sms=N] [--rounds=N] [--expect-hit-rate=F] [--quiet]
  *             [--cluster=H1:P1,H2:P2,... [--deadline-ms=N]]
  *
@@ -37,8 +37,6 @@
  * --cache-budget-mb=N  memory-tier byte budget; cold entries beyond it
  *                    are demoted to the disk tier (0 = unbounded,
  *                    default 256).
- * --cache-policy=P   memory-tier eviction policy: lru (default) or
- *                    clock.
  * --csv=FILE         per-job CSV (- for stdout); adds from_cache and
  *                    seconds columns to the standard report columns.
  * --json=FILE        engine counters + per-job rows as JSON.
@@ -206,7 +204,7 @@ main(int argc, char **argv)
         std::cerr
             << "usage: run_sweep <manifest|--default> [--jobs=N] "
                "[--cache-dir=DIR] [--no-cache] [--cache-budget-mb=N] "
-               "[--cache-policy=lru|clock] [--csv=FILE] "
+               "[--csv=FILE] "
                "[--json=FILE] [--sms=N] [--rounds=N] "
                "[--expect-hit-rate=F] [--quiet]\n";
         return 2;
@@ -236,18 +234,7 @@ main(int argc, char **argv)
         else if (arg.rfind("--cache-budget-mb=", 0) == 0)
             opts.cacheMemoryBudget =
                 std::stoull(arg.substr(18)) << 20;
-        else if (arg.rfind("--cache-policy=", 0) == 0) {
-            const std::string policy = arg.substr(15);
-            if (policy == "lru")
-                opts.cacheEviction = EvictionPolicy::kLru;
-            else if (policy == "clock")
-                opts.cacheEviction = EvictionPolicy::kClock;
-            else {
-                std::cerr << "unknown cache policy " << policy
-                          << " (expected lru or clock)\n";
-                return 2;
-            }
-        } else if (arg.rfind("--csv=", 0) == 0)
+        else if (arg.rfind("--csv=", 0) == 0)
             csvOut = arg.substr(6);
         else if (arg.rfind("--json=", 0) == 0)
             jsonOut = arg.substr(7);

@@ -6,7 +6,7 @@
  *   simd_server [--port=N] [--executors=N] [--queue=N]
  *               [--max-conns=N] [--idle-timeout-ms=N]
  *               [--cache-dir=DIR] [--no-cache] [--cache-budget-mb=N]
- *               [--cache-policy=lru|clock] [--quiet]
+ *               [--quiet]
  *               [--cluster=H1:P1,H2:P2,... --self=H:P]
  *               [--replication=N] [--vnodes=N] [--ring-epoch=N]
  *
@@ -23,7 +23,6 @@
  *                     are demoted to disk (0 = unbounded, default
  *                     256) — a daemon meant to survive millions of
  *                     requests must not pin every outcome in RAM.
- * --cache-policy=P    memory-tier eviction: lru (default) or clock.
  * --cluster=LIST      comma-separated host:port membership; the same
  *                     list (same order) must be passed to every node.
  *                     Requires --self.  See docs/SERVICE.md §cluster.
@@ -97,18 +96,7 @@ main(int argc, char **argv)
             else if (arg.rfind("--cache-budget-mb=", 0) == 0)
                 opts.sweep.cacheMemoryBudget =
                     std::stoull(arg.substr(18)) << 20;
-            else if (arg.rfind("--cache-policy=", 0) == 0) {
-                const std::string policy = arg.substr(15);
-                if (policy == "lru")
-                    opts.sweep.cacheEviction = EvictionPolicy::kLru;
-                else if (policy == "clock")
-                    opts.sweep.cacheEviction = EvictionPolicy::kClock;
-                else {
-                    std::cerr << "unknown cache policy " << policy
-                              << " (expected lru or clock)\n";
-                    return 2;
-                }
-            } else if (arg.rfind("--cluster=", 0) == 0) {
+            else if (arg.rfind("--cluster=", 0) == 0) {
                 std::vector<RingNode> nodes;
                 std::string error;
                 if (!parseEndpointList(arg.substr(10), nodes, error)) {

@@ -452,11 +452,10 @@ ResultCache::lookup(const Hash128 &key)
         if (it != sh.map.end()) {
             Entry &e = *it->second;
             // relaxed: recency metadata only steers eviction — a
-            // stale tick/ref bit costs at worst one suboptimal
-            // victim choice, never correctness.
+            // stale tick costs at worst one suboptimal victim choice,
+            // never correctness.
             e.lastUse.store(tick_.fetch_add(1, std::memory_order_relaxed),
                             std::memory_order_relaxed);
-            e.referenced.store(true, std::memory_order_relaxed);
             // relaxed: monotonic statistic.
             sh.memoryHits.fetch_add(1, std::memory_order_relaxed);
             found = e.outcome;
@@ -529,7 +528,6 @@ ResultCache::admit(Shard &sh, const std::string &hex,
         // relaxed: recency metadata; see lookup().
         e.lastUse.store(tick_.fetch_add(1, std::memory_order_relaxed),
                         std::memory_order_relaxed);
-        e.referenced.store(true, std::memory_order_relaxed);
     } else {
         auto e = std::make_unique<Entry>();
         e->outcome = std::move(outcome);
@@ -537,8 +535,6 @@ ResultCache::admit(Shard &sh, const std::string &hex,
         // relaxed: recency metadata; see lookup().
         e->lastUse.store(tick_.fetch_add(1, std::memory_order_relaxed),
                          std::memory_order_relaxed);
-        sh.ring.push_back(hex);
-        e->ringPos = std::prev(sh.ring.end());
         sh.bytes += bytes;
         sh.map.emplace(hex, std::move(e));
     }
@@ -550,9 +546,6 @@ ResultCache::eraseLocked(
     Shard &sh,
     std::unordered_map<std::string, std::unique_ptr<Entry>>::iterator it)
 {
-    if (sh.hand == it->second->ringPos)
-        ++sh.hand;
-    sh.ring.erase(it->second->ringPos);
     sh.bytes -= it->second->bytes;
     sh.map.erase(it);
     // relaxed: monotonic statistic.
@@ -569,40 +562,15 @@ ResultCache::evictLocked(Shard &sh, const std::string &protect)
     // whole slice still gets served from memory while it is hot.
     while (sh.bytes > budgetPerShard_ && sh.map.size() > 1) {
         auto victim = sh.map.end();
-        if (opts_.eviction == EvictionPolicy::kLru) {
-            u64 oldest = ~0ull;
-            for (auto it = sh.map.begin(); it != sh.map.end(); ++it) {
-                if (it->first == protect)
-                    continue;
-                // relaxed: recency metadata; see lookup().
-                const u64 t =
-                    it->second->lastUse.load(std::memory_order_relaxed);
-                if (t < oldest) {
-                    oldest = t;
-                    victim = it;
-                }
-            }
-        } else {
-            // CLOCK: sweep the insertion ring from the hand, giving a
-            // referenced entry one second chance.  Two laps always
-            // produce a victim (the first lap clears every bit).
-            for (u64 step = 0, cap = 2 * sh.ring.size() + 1;
-                 step < cap; ++step) {
-                if (sh.hand == sh.ring.end())
-                    sh.hand = sh.ring.begin();
-                auto it = sh.map.find(*sh.hand);
-                if (it->first == protect) {
-                    ++sh.hand;
-                    continue;
-                }
-                // relaxed: recency metadata; see lookup().
-                if (it->second->referenced.exchange(
-                        false, std::memory_order_relaxed)) {
-                    ++sh.hand;
-                    continue;
-                }
+        u64 oldest = ~0ull;
+        for (auto it = sh.map.begin(); it != sh.map.end(); ++it) {
+            if (it->first == protect)
+                continue;
+            // relaxed: recency metadata; see lookup().
+            const u64 t = it->second->lastUse.load(std::memory_order_relaxed);
+            if (t < oldest) {
+                oldest = t;
                 victim = it;
-                break;
             }
         }
         if (victim == sh.map.end())

@@ -23,10 +23,9 @@
  *    the outcome copy handed to the caller is made after the lock is
  *    released.
  *  - The memory tier is byte-budgeted.  Crossing the budget evicts
- *    cold entries (LRU or CLOCK, ResultCacheOptions::eviction) —
- *    demoting them to the disk tier rather than pinning every outcome
- *    for the life of the process.  A demoted key is still a (disk)
- *    hit and is re-admitted on access.
+ *    the least-recently-used entries — demoting them to the disk tier
+ *    rather than pinning every outcome for the life of the process.
+ *    A demoted key is still a (disk) hit and is re-admitted on access.
  *  - Disk publishes are write-behind: store() only enqueues onto a
  *    bounded queue serviced by one publisher thread, so no file I/O
  *    ever happens under a shard lock.  The destructor flushes the
@@ -49,7 +48,6 @@
 #include <atomic>
 #include <deque>
 #include <iosfwd>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -62,12 +60,6 @@
 
 namespace rfv {
 
-/** Replacement policy for the byte-budgeted memory tier. */
-enum class EvictionPolicy : u8 {
-    kLru,   //!< evict the least-recently-used entry (exact, tick-based)
-    kClock, //!< second-chance ring sweep (cheaper metadata churn)
-};
-
 struct ResultCacheOptions {
     /** "" keeps the cache in-memory only (no persistence). */
     std::string dir;
@@ -78,8 +70,6 @@ struct ResultCacheOptions {
      * single entry larger than its slice stays admitted.
      */
     u64 memoryBudgetBytes = 256ull << 20;
-
-    EvictionPolicy eviction = EvictionPolicy::kLru;
 
     /** Lock-striped shard count; rounded up to a power of two, >=1. */
     u32 shards = 16;
@@ -141,18 +131,13 @@ class ResultCache {
     struct Entry {
         std::shared_ptr<const RunOutcome> outcome;
         u64 bytes = 0;
-        std::atomic<u64> lastUse{0};        //!< LRU recency tick
-        std::atomic<bool> referenced{true}; //!< CLOCK second chance
-        std::list<std::string>::iterator ringPos;
+        std::atomic<u64> lastUse{0}; //!< LRU recency tick
     };
 
     struct Shard {
         mutable SharedMutex mu;
         std::unordered_map<std::string, std::unique_ptr<Entry>>
             map RFV_GUARDED_BY(mu);
-        std::list<std::string> ring RFV_GUARDED_BY(mu); //!< CLOCK order
-        std::list<std::string>::iterator hand RFV_GUARDED_BY(mu) =
-            ring.end();
         u64 bytes RFV_GUARDED_BY(mu) = 0; //!< resident payload bytes
 
         // Counters bumped off the exclusive path (memory hits under a

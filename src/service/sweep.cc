@@ -26,7 +26,6 @@ cacheOptions(const SweepOptions &opts)
     ResultCacheOptions c;
     c.dir = opts.useCache ? opts.cacheDir : "";
     c.memoryBudgetBytes = opts.cacheMemoryBudget;
-    c.eviction = opts.cacheEviction;
     c.shards = opts.cacheShards;
     c.writeBehindCapacity = opts.cacheWriteBehindDepth;
     return c;

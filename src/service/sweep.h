@@ -115,9 +115,6 @@ struct SweepOptions {
     /** Memory-tier byte budget for the result cache (0 = unbounded). */
     u64 cacheMemoryBudget = 256ull << 20;
 
-    /** Memory-tier replacement policy (LRU default, CLOCK optional). */
-    EvictionPolicy cacheEviction = EvictionPolicy::kLru;
-
     /** Lock-striped shard count (rounded up to a power of two). */
     u32 cacheShards = 16;
 

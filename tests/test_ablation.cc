@@ -14,8 +14,8 @@
 
 #include "compiler/pipeline.h"
 #include "core/simulator.h"
+#include "gen/gen_spec.h"
 #include "isa/builder.h"
-#include "workloads/random_kernel.h"
 
 namespace rfv {
 namespace {
@@ -323,48 +323,31 @@ TEST(Regression, AggressiveSiblingRedefinition)
         EXPECT_EQ(mem.word(i), i < 16 ? 101u : i * 7) << "lane " << i;
 }
 
-/** Deeper random nesting with every mode still agreeing. */
+/** Deeper generated nesting with every mode matching the reference. */
 TEST(Regression, DeepNestingEquivalence)
 {
+    RunConfig tiny = RunConfig::virtualized();
+    tiny.label = "virtualized-16KB";
+    tiny.rfSizeBytes = 16 * 1024;
     for (u64 seed : {101ull, 202ull, 303ull}) {
-        RandomKernelOptions opts;
-        opts.seed = seed;
-        opts.maxDepth = 3;
-        opts.bodyBlocks = 8;
-        opts.maxRegs = 22;
-        const auto rk = generateRandomKernel(opts);
-
-        LaunchParams launch;
-        launch.gridCtas = 2;
-        launch.threadsPerCta = 64;
-
-        auto runMode = [&](RegFileMode mode, bool virt, u32 rf) {
-            CompileOptions copts;
-            copts.virtualize = virt;
-            const auto ck = compileKernel(rk.program, copts);
-            GlobalMemory mem(rk.memoryWords(launch) * 4);
-            for (u32 word = 0; word < kRandomKernelInputWords; ++word)
-                mem.setWord(word, word * 77 + 5);
-            GpuConfig cfg;
-            cfg.numSms = 1;
-            cfg.regFile.mode = mode;
-            cfg.regFile.sizeBytes = rf;
-            cfg.regFile.poisonOnRelease = true;
-            Gpu gpu(cfg, ck.program, launch, mem);
-            gpu.run();
-            std::vector<u32> out;
-            for (u32 t = 0; t < 128; ++t)
-                out.push_back(mem.word(kRandomKernelInputWords + t));
-            return out;
-        };
-        const auto base =
-            runMode(RegFileMode::kBaseline, false, 128 * 1024);
-        const auto virt =
-            runMode(RegFileMode::kVirtualized, true, 128 * 1024);
-        const auto tiny =
-            runMode(RegFileMode::kVirtualized, true, 16 * 1024);
-        EXPECT_EQ(base, virt) << "seed " << seed;
-        EXPECT_EQ(base, tiny) << "seed " << seed;
+        GenSpec spec;
+        spec.seed = seed;
+        spec.depth = 3;
+        spec.blocks = 8;
+        spec.regs = 22;
+        spec.ctas = 2;
+        spec.concCtasPerSm = 2;
+        for (RunConfig cfg :
+             {RunConfig::baseline(), RunConfig::virtualized(), tiny}) {
+            // runWorkload checks the output image against the host
+            // reference; the lint traps any unsafe release.
+            cfg.verifyReleases = true;
+            const RunOutcome out = run(cfg, spec.name());
+            EXPECT_EQ(out.sim.completedCtas, spec.ctas)
+                << cfg.label << " seed " << seed;
+            EXPECT_TRUE(out.verify.ok())
+                << cfg.label << ":\n" << out.verify.str();
+        }
     }
 }
 

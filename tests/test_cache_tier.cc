@@ -1,7 +1,7 @@
 /**
  * @file
- * The two-tier ResultCache: byte-budgeted eviction (LRU and CLOCK
- * order, demotion to the disk tier), write-behind durability
+ * The two-tier ResultCache: byte-budgeted LRU eviction (demotion to
+ * the disk tier), write-behind durability
  * (store -> drain -> a fresh instance disk-hits bit-identically via
  * RunOutcome::operator==), quarantine of malformed disk entries, and
  * a multi-thread mixed lookup/store/evict stress that runs under the
@@ -83,7 +83,6 @@ TEST(CacheTierEviction, LruEvictsTheLeastRecentlyUsedEntry)
     ResultCacheOptions opts;
     opts.dir = ""; // memory-only: an evicted key is an observable miss
     opts.shards = 1;
-    opts.eviction = EvictionPolicy::kLru;
     opts.memoryBudgetBytes = 3 * per;
     ResultCache cache(opts);
 
@@ -104,60 +103,23 @@ TEST(CacheTierEviction, LruEvictsTheLeastRecentlyUsedEntry)
     EXPECT_LE(st.memoryBytes, 3 * per);
 }
 
-TEST(CacheTierEviction, ClockGivesReferencedEntriesASecondChance)
+TEST(CacheTierEviction, ByteBudgetIsEnforcedAcrossManyStores)
 {
     const u64 per = perEntryBytes();
     ResultCacheOptions opts;
     opts.dir = "";
     opts.shards = 1;
-    opts.eviction = EvictionPolicy::kClock;
-    opts.memoryBudgetBytes = 3 * per;
+    opts.memoryBudgetBytes = 2 * per;
     ResultCache cache(opts);
 
-    cache.store(keyOf(0), makeOutcome("wl-A"));
-    cache.store(keyOf(1), makeOutcome("wl-B"));
-    cache.store(keyOf(2), makeOutcome("wl-C"));
-
-    // First pressure: every ref bit is set (admission), so the sweep
-    // clears them all and falls back to FIFO — A goes.
-    cache.store(keyOf(3), makeOutcome("wl-D"));
-    EXPECT_FALSE(cache.lookup(keyOf(0)).has_value());
-
-    // B is referenced since that sweep; C is not.  Second pressure
-    // must give B its second chance and take C.
-    EXPECT_TRUE(cache.lookup(keyOf(1)).has_value());
-    cache.store(keyOf(4), makeOutcome("wl-E"));
-    EXPECT_TRUE(cache.lookup(keyOf(1)).has_value())
-        << "referenced entry must survive the sweep";
-    EXPECT_FALSE(cache.lookup(keyOf(2)).has_value())
-        << "unreferenced entry is the CLOCK victim";
-    EXPECT_TRUE(cache.lookup(keyOf(3)).has_value());
-    EXPECT_TRUE(cache.lookup(keyOf(4)).has_value());
-
-    EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
-TEST(CacheTierEviction, ByteBudgetIsEnforcedAcrossManyStores)
-{
-    const u64 per = perEntryBytes();
-    for (const EvictionPolicy policy :
-         {EvictionPolicy::kLru, EvictionPolicy::kClock}) {
-        ResultCacheOptions opts;
-        opts.dir = "";
-        opts.shards = 1;
-        opts.eviction = policy;
-        opts.memoryBudgetBytes = 2 * per;
-        ResultCache cache(opts);
-
-        for (u64 i = 0; i < 10; ++i) {
-            cache.store(keyOf(i), makeOutcome("wl-" + std::to_string(i)));
-            EXPECT_LE(cache.stats().memoryBytes, 2 * per)
-                << "store " << i << " overflowed the byte budget";
-        }
-        const ResultCache::Stats st = cache.stats();
-        EXPECT_EQ(st.stores, 10u);
-        EXPECT_EQ(st.evictions, 8u);
+    for (u64 i = 0; i < 10; ++i) {
+        cache.store(keyOf(i), makeOutcome("wl-" + std::to_string(i)));
+        EXPECT_LE(cache.stats().memoryBytes, 2 * per)
+            << "store " << i << " overflowed the byte budget";
     }
+    const ResultCache::Stats st = cache.stats();
+    EXPECT_EQ(st.stores, 10u);
+    EXPECT_EQ(st.evictions, 8u);
 }
 
 TEST(CacheTierEviction, UnboundedBudgetNeverEvicts)
@@ -323,11 +285,9 @@ stressIters()
     return 400;
 }
 
-void
-runMixedStress(EvictionPolicy policy)
+TEST(CacheTierStress, MixedLookupStoreEvictUnderLru)
 {
-    TempDir dir(policy == EvictionPolicy::kLru ? "stress-lru"
-                                               : "stress-clock");
+    TempDir dir("stress-lru");
     const u64 per = perEntryBytes();
     constexpr u64 kKeys = 32;
     constexpr u32 kThreads = 8;
@@ -335,7 +295,6 @@ runMixedStress(EvictionPolicy policy)
     ResultCacheOptions opts;
     opts.dir = dir.path();
     opts.shards = 4;
-    opts.eviction = policy;
     // Roughly half the working set fits: lookups, stores, evictions,
     // demotions and disk re-admissions all race constantly.
     opts.memoryBudgetBytes = (kKeys / 2) * per;
@@ -390,15 +349,6 @@ runMixedStress(EvictionPolicy policy)
     EXPECT_GT(replayed, 0u);
 }
 
-TEST(CacheTierStress, MixedLookupStoreEvictUnderLru)
-{
-    runMixedStress(EvictionPolicy::kLru);
-}
-
-TEST(CacheTierStress, MixedLookupStoreEvictUnderClock)
-{
-    runMixedStress(EvictionPolicy::kClock);
-}
 
 // ---- shard partitioning --------------------------------------------------
 

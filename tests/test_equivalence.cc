@@ -2,9 +2,9 @@
  * @file
  * Property-based architectural-equivalence tests.
  *
- * For seeded random structured kernels (divergence, loops, barriers,
- * memory traffic), the final global-memory image must be identical
- * under:
+ * For seeded `gen:` kernels (divergence, loops, barriers, early exits,
+ * memory traffic, shared-memory exchanges), the final global-memory
+ * image must match the host reference interpreter word for word under:
  *   - baseline allocation,
  *   - compiler-guided virtualization (paper mode),
  *   - virtualization with aggressive in-divergence releases,
@@ -12,177 +12,126 @@
  *   - GPU-shrink (half-size and tiny register files, throttle + spill),
  *   - hardware-only renaming.
  *
- * Released registers are poisoned, so any unsafe release corrupts the
- * output deterministically.
+ * Every run goes through Simulator::runWorkload with verifyReleases
+ * on: the runtime lifecycle lint traps any read of a released or
+ * never-written register (and poisons released ones), and the
+ * workload's verify() compares the whole output image with the
+ * reference.  An unsafe release therefore fails loudly.
  */
 #include <gtest/gtest.h>
 
-#include "compiler/pipeline.h"
-#include "sim/gpu.h"
-#include "workloads/random_kernel.h"
+#include "core/simulator.h"
+#include "workloads/gen_workload.h"
 
 namespace rfv {
 namespace {
 
-struct ModeSpec {
+struct Mode {
     const char *label;
     RegFileMode mode;
     bool virtualize;
     bool aggressive;
     u32 rfBytes;
     u32 tableBytes; //!< 0 = unconstrained
+    bool shared;    //!< also run by the shared-exchange suite
 };
 
-std::vector<u32>
-runOnce(const RandomKernel &rk, const ModeSpec &spec,
-        const LaunchParams &launch)
+constexpr u32 kTinyRf = 8 * 1024;
+
+const Mode kModes[] = {
+    {"baseline", RegFileMode::kBaseline, false, false, 128 * 1024, 0,
+     true},
+    {"virtualized", RegFileMode::kVirtualized, true, false, 128 * 1024,
+     0, true},
+    {"virtualized-aggressive", RegFileMode::kVirtualized, true, true,
+     128 * 1024, 0, true},
+    {"virtualized-256B-table", RegFileMode::kVirtualized, true, false,
+     128 * 1024, 256, false},
+    {"gpu-shrink-64KB", RegFileMode::kVirtualized, true, false, 64 * 1024,
+     0, false},
+    {"gpu-shrink-8KB", RegFileMode::kVirtualized, true, false, kTinyRf, 0,
+     true},
+    {"hardware-only", RegFileMode::kHardwareOnly, false, false,
+     128 * 1024, 0, true},
+};
+
+/** Run @p w under @p m, checked against the host reference. */
+RunOutcome
+runChecked(const Workload &w, const Mode &m)
 {
-    CompileOptions copts;
-    copts.virtualize = spec.virtualize;
-    copts.aggressiveDiverged = spec.aggressive;
-    copts.renamingTableBytes = spec.tableBytes;
-    copts.residentWarps = 48;
-    const auto ck = compileKernel(rk.program, copts);
-
-    GlobalMemory mem(rk.memoryWords(launch) * 4);
-    // Deterministic input pattern.
-    for (u32 w = 0; w < kRandomKernelInputWords; ++w)
-        mem.setWord(w, w * 2654435761u + 12345u);
-
-    GpuConfig cfg;
+    RunConfig cfg;
+    cfg.label = m.label;
+    cfg.mode = m.mode;
+    cfg.virtualize = m.virtualize;
+    cfg.aggressiveDiverged = m.aggressive;
+    cfg.rfSizeBytes = m.rfBytes;
+    cfg.renamingTableBytes = m.tableBytes;
+    cfg.verifyReleases = true;
     cfg.numSms = 1;
-    cfg.regFile.mode = spec.mode;
-    cfg.regFile.sizeBytes = spec.rfBytes;
-    cfg.regFile.poisonOnRelease = true;
-    cfg.maxCycles = 5'000'000;
-    Gpu gpu(cfg, ck.program, launch, mem);
-    const auto res = gpu.run();
-    EXPECT_EQ(res.completedCtas, launch.gridCtas) << spec.label;
-
-    std::vector<u32> out;
-    const u32 threads = launch.gridCtas * launch.threadsPerCta;
-    for (u32 t = 0; t < threads; ++t)
-        out.push_back(mem.word(kRandomKernelInputWords + t));
+    cfg.roundsPerSm = 0; // the spec's full grid
+    RunOutcome out;
+    try {
+        out = Simulator(cfg).runWorkload(w);
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << m.label << " on " << w.name() << ": " << e.what();
+        return out;
+    }
+    EXPECT_EQ(out.sim.completedCtas, out.launch.gridCtas)
+        << m.label << " on " << w.name();
+    EXPECT_TRUE(out.verify.ok())
+        << m.label << " on " << w.name() << ":\n" << out.verify.str();
     return out;
 }
 
-class EquivalenceTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(EquivalenceTest, AllModesAgree)
+TEST(Equivalence, AllModesMatchTheHostReference)
 {
-    RandomKernelOptions opts;
-    opts.seed = GetParam();
-    opts.maxRegs = 10 + static_cast<u32>(GetParam() % 9);
-    opts.bodyBlocks = 5 + static_cast<u32>(GetParam() % 4);
-    const RandomKernel rk = generateRandomKernel(opts);
-
-    LaunchParams launch;
-    launch.gridCtas = 3;
-    launch.threadsPerCta = 96;
-    launch.concCtasPerSm = 3;
-
-    const ModeSpec specs[] = {
-        {"baseline", RegFileMode::kBaseline, false, false, 128 * 1024, 0},
-        {"virtualized", RegFileMode::kVirtualized, true, false,
-         128 * 1024, 0},
-        {"virtualized-aggressive", RegFileMode::kVirtualized, true, true,
-         128 * 1024, 0},
-        {"virtualized-1KB-table", RegFileMode::kVirtualized, true, false,
-         128 * 1024, 256},
-        {"gpu-shrink-50", RegFileMode::kVirtualized, true, false,
-         64 * 1024, 0},
-        {"gpu-shrink-tiny", RegFileMode::kVirtualized, true, false,
-         8 * 1024, 0},
-        {"hardware-only", RegFileMode::kHardwareOnly, false, false,
-         128 * 1024, 0},
-    };
-
-    const auto reference = runOnce(rk, specs[0], launch);
-    ASSERT_FALSE(reference.empty());
-    for (std::size_t s = 1; s < std::size(specs); ++s) {
-        const auto got = runOnce(rk, specs[s], launch);
-        ASSERT_EQ(got.size(), reference.size());
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-            ASSERT_EQ(got[i], reference[i])
-                << "mode " << specs[s].label << " thread " << i
-                << " seed " << GetParam();
+    u64 tinySpills = 0, tinyThrottle = 0;
+    for (u64 seed = 1; seed <= 40; ++seed) {
+        GenSpec spec;
+        spec.seed = seed;
+        spec.regs = 10 + static_cast<u32>(seed % 9);
+        spec.blocks = 5 + static_cast<u32>(seed % 4);
+        spec.ctas = 3;
+        spec.threadsPerCta = 96;
+        spec.concCtasPerSm = 3;
+        const auto w = makeGenWorkload(spec);
+        for (const Mode &m : kModes) {
+            const RunOutcome out = runChecked(*w, m);
+            if (m.rfBytes == kTinyRf) {
+                tinySpills += out.sim.spillEvents;
+                tinyThrottle += out.sim.throttleActiveCycles;
+            }
         }
     }
+    // Coverage guard: the tiny file must actually drive the spill and
+    // throttle paths, or this suite proves nothing about them.
+    EXPECT_GT(tinySpills, 0u);
+    EXPECT_GT(tinyThrottle, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
-                         ::testing::Range<u64>(1, 41));
-
-/** Shared-memory + barrier kernels (power-of-two CTAs) across modes. */
-class SharedEquivalenceTest : public ::testing::TestWithParam<u64> {};
-
-TEST_P(SharedEquivalenceTest, AllModesAgree)
+/** Shared-memory exchange + barrier kernels (power-of-two CTAs). */
+TEST(Equivalence, SharedExchangeModesMatchTheHostReference)
 {
-    RandomKernelOptions opts;
-    opts.seed = GetParam();
-    opts.sharedStages = true;
-    opts.bodyBlocks = 8;
-    const RandomKernel rk = generateRandomKernel(opts);
+    for (u64 seed = 500; seed < 516; ++seed) {
+        GenSpec spec;
+        spec.seed = seed;
+        spec.exchanges = true;
+        spec.blocks = 64;
+        spec.ctas = 2;
+        spec.threadsPerCta = 64;
+        spec.concCtasPerSm = 2;
+        const auto w = makeGenWorkload(spec);
 
-    LaunchParams launch;
-    launch.gridCtas = 2;
-    launch.threadsPerCta = 64; // power of two for the exchange mask
-    launch.concCtasPerSm = 2;
+        const Program prog = w->buildKernel();
+        bool sawShared = false;
+        for (const Instr &ins : prog.code)
+            sawShared |= ins.op == Opcode::kLdShared;
+        EXPECT_TRUE(sawShared) << w->name() << " emits no shared load";
 
-    const ModeSpec specs[] = {
-        {"baseline", RegFileMode::kBaseline, false, false, 128 * 1024, 0},
-        {"virtualized", RegFileMode::kVirtualized, true, false,
-         128 * 1024, 0},
-        {"virtualized-aggressive", RegFileMode::kVirtualized, true, true,
-         128 * 1024, 0},
-        {"gpu-shrink-tiny", RegFileMode::kVirtualized, true, false,
-         8 * 1024, 0},
-        {"hardware-only", RegFileMode::kHardwareOnly, false, false,
-         128 * 1024, 0},
-    };
-    const auto reference = runOnce(rk, specs[0], launch);
-    bool sawShared = false;
-    for (const auto &ins : rk.program.code)
-        sawShared |= ins.op == Opcode::kLdShared;
-    for (std::size_t s = 1; s < std::size(specs); ++s) {
-        const auto got = runOnce(rk, specs[s], launch);
-        ASSERT_EQ(got, reference)
-            << "mode " << specs[s].label << " seed " << GetParam();
+        for (const Mode &m : kModes)
+            if (m.shared)
+                runChecked(*w, m);
     }
-    (void)sawShared;
-}
-
-INSTANTIATE_TEST_SUITE_P(SharedSeeds, SharedEquivalenceTest,
-                         ::testing::Range<u64>(500, 516));
-
-TEST(Equivalence, GeneratorIsDeterministic)
-{
-    RandomKernelOptions opts;
-    opts.seed = 7;
-    const auto a = generateRandomKernel(opts);
-    const auto b = generateRandomKernel(opts);
-    ASSERT_EQ(a.program.code.size(), b.program.code.size());
-    for (u32 pc = 0; pc < a.program.code.size(); ++pc)
-        EXPECT_EQ(a.program.code[pc].op, b.program.code[pc].op);
-}
-
-TEST(Equivalence, GeneratedKernelsAreStructured)
-{
-    u32 sawBranch = 0, sawLoad = 0, sawBarrier = 0;
-    for (u64 seed = 1; seed < 40; ++seed) {
-        RandomKernelOptions opts;
-        opts.seed = seed;
-        const auto rk = generateRandomKernel(opts);
-        rk.program.validate();
-        for (const auto &ins : rk.program.code) {
-            sawBranch += ins.op == Opcode::kBra;
-            sawLoad += ins.op == Opcode::kLdGlobal;
-            sawBarrier += ins.op == Opcode::kBar;
-        }
-    }
-    EXPECT_GT(sawBranch, 20u);
-    EXPECT_GT(sawLoad, 20u);
-    EXPECT_GT(sawBarrier, 3u);
 }
 
 } // namespace

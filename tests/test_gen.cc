@@ -189,6 +189,25 @@ TEST(Generator, PruneDropsSubtreesWithoutPerturbingSurvivors)
     EXPECT_GT(p.code.size(), 0u);
 }
 
+TEST(Generator, GeneratedKernelsAreStructured)
+{
+    u32 sawBranch = 0, sawLoad = 0, sawBarrier = 0;
+    for (u64 seed = 1; seed < 40; ++seed) {
+        GenSpec spec;
+        spec.seed = seed;
+        const Program prog = lowerGenIr(buildGenIr(spec));
+        prog.validate();
+        for (const Instr &ins : prog.code) {
+            sawBranch += ins.op == Opcode::kBra;
+            sawLoad += ins.op == Opcode::kLdGlobal;
+            sawBarrier += ins.op == Opcode::kBar;
+        }
+    }
+    EXPECT_GT(sawBranch, 20u);
+    EXPECT_GT(sawLoad, 20u);
+    EXPECT_GT(sawBarrier, 3u);
+}
+
 TEST(Reference, ShapeAndDeterminism)
 {
     GenSpec spec = richSpec();
