@@ -51,8 +51,8 @@ struct RunConfig {
     /**
      * Event-driven cycle loop with fast-forward over quiescent
      * windows (default).  Results are bit-identical to the naive
-     * step-every-cycle loop; disable to use the naive loop as the
-     * equivalence oracle or for per-cycle instrumentation baselines.
+     * step-every-cycle loop, TraceHooks included; disable to use the
+     * naive loop as the equivalence oracle.
      */
     bool eventDriven = true;
 

@@ -108,18 +108,23 @@ SimdClient::request(const Message &req, Message &response,
 }
 
 i64
-SimdClient::backoffMsForAttempt(u32 attempt)
+fullJitterBackoffMs(Rng &rng, u32 attempt, i64 baseMs, i64 capMs)
 {
-    // Full jitter: uniform in [base/2, min(cap, base << attempt)].
-    i64 cap = opts_.backoffBaseMs;
-    for (u32 i = 0; i < attempt && cap < opts_.backoffCapMs; ++i)
+    i64 cap = baseMs;
+    for (u32 i = 0; i < attempt && cap < capMs; ++i)
         cap *= 2;
-    cap = std::min<i64>(cap, opts_.backoffCapMs);
-    const i64 lo = std::max<i64>(1, opts_.backoffBaseMs / 2);
+    cap = std::min<i64>(cap, capMs);
+    const i64 lo = std::max<i64>(1, baseMs / 2);
     if (cap <= lo)
         return lo;
-    return lo + static_cast<i64>(
-                    jitter_.below(static_cast<u64>(cap - lo + 1)));
+    return lo + static_cast<i64>(rng.below(static_cast<u64>(cap - lo + 1)));
+}
+
+i64
+SimdClient::backoffMsForAttempt(u32 attempt)
+{
+    return fullJitterBackoffMs(jitter_, attempt, opts_.backoffBaseMs,
+                               opts_.backoffCapMs);
 }
 
 ServiceStatus

@@ -40,6 +40,9 @@ struct ClientOptions {
     u64 jitterSeed = 0x5eed; //!< deterministic jitter stream
 };
 
+/** Full-jitter backoff before retry @p attempt (see above), on @p rng. */
+i64 fullJitterBackoffMs(Rng &rng, u32 attempt, i64 baseMs, i64 capMs);
+
 class SimdClient {
   public:
     explicit SimdClient(ClientOptions opts);

@@ -412,18 +412,9 @@ ClusterCoordinator::run(const ServiceRequest &req, SweepJobResult &res,
                 if (owner != target)
                     preferred.push_back(owner);
             if (preferred.empty()) {
-                i64 cap = opts_.client.backoffBaseMs;
-                for (u32 i = 0;
-                     i < shedRounds && cap < opts_.shedBackoffCapMs;
-                     ++i)
-                    cap *= 2;
-                cap = std::min<i64>(cap, opts_.shedBackoffCapMs);
-                const i64 lo =
-                    std::max<i64>(1, opts_.client.backoffBaseMs / 2);
-                i64 sleepMs =
-                    cap <= lo ? lo
-                              : lo + static_cast<i64>(backoffJitter.below(
-                                         static_cast<u64>(cap - lo + 1)));
+                i64 sleepMs = fullJitterBackoffMs(
+                    backoffJitter, shedRounds, opts_.client.backoffBaseMs,
+                    opts_.shedBackoffCapMs);
                 if (budgetMs >= 0) {
                     const i64 left = budgetLeftMs();
                     if (left <= 0)

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <unistd.h>
 
 namespace rfv {
@@ -15,27 +20,43 @@ namespace {
 
 constexpr const char *kMagic = "rfv-result";
 constexpr u64 kFormatVersion = 1;
+constexpr u64 kMaxStringBytes = 64u << 20;
+constexpr u64 kMaxVectorItems = 1u << 20;
 
-/** Line-oriented tagged writer: "u key value", "d key hexbits", …. */
+/** Largest value a u() field of type T may hold on the wire. */
+template <class T>
+constexpr u64 kFieldMax = std::numeric_limits<T>::max(); // bool: 1
+template <>
+constexpr u64 kFieldMax<VerifyKind> =
+    static_cast<u64>(VerifyKind::kBadMetadata);
+template <>
+constexpr u64 kFieldMax<VerifySeverity> =
+    static_cast<u64>(VerifySeverity::kWarning);
+
+/**
+ * Line-oriented tagged writer: "u key decimal", "d key hexbits",
+ * "s key length\npayload\n".
+ */
 class Writer {
   public:
     explicit Writer(std::ostream &os) : os_(os) {}
 
+    void line(const std::string &text) { os_ << text << '\n'; }
+
+    template <class T>
     void
-    u(const char *key, u64 v)
+    u(const char *key, const T &v)
     {
-        os_ << "u " << key << ' ' << v << '\n';
+        os_ << "u " << key << ' ' << static_cast<u64>(v) << '\n';
     }
 
     void
     d(const char *key, double v)
     {
-        u64 bits;
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        char buf[17];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(bits));
-        os_ << "d " << key << ' ' << buf << '\n';
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      std::bit_cast<unsigned long long>(v));
+        os_ << "d " << key << ' ' << hex << '\n';
     }
 
     void
@@ -46,63 +67,107 @@ class Writer {
         os_ << '\n';
     }
 
+    template <class Vec>
+    void count(const char *key, const Vec &v) { u(key, v.size()); }
+
   private:
     std::ostream &os_;
 };
 
-/** Strict reader: every tag and key must match the writing order. */
+/**
+ * Strict reader: accepts exactly the bytes Writer emits, so an
+ * accepted entry re-serializes byte for byte.  Anything else throws
+ * std::runtime_error.
+ */
 class Reader {
   public:
     explicit Reader(std::istream &is) : is_(is) {}
 
-    u64
-    u(const char *key)
+    void
+    line(const std::string &text)
     {
-        expect("u", key);
-        u64 v = 0;
-        if (!(is_ >> v))
-            bad(key);
-        return v;
+        if (next(text.c_str()) != text)
+            bad(text.c_str());
     }
 
-    double
-    d(const char *key)
+    /** Nothing may follow the last line. */
+    void finish() { if (is_.peek() != EOF) bad("end"); }
+
+    template <class T>
+    void
+    u(const char *key, T &v)
     {
-        expect("d", key);
-        std::string hex;
-        if (!(is_ >> hex) || hex.size() != 16)
-            bad(key);
-        const u64 bits = std::stoull(hex, nullptr, 16);
-        double v;
-        __builtin_memcpy(&v, &bits, sizeof(v));
-        return v;
+        static_assert(kFieldMax<T> != 0, "specialize kFieldMax for T");
+        v = static_cast<T>(number(value("u", key), kFieldMax<T>, key));
     }
 
-    std::string
-    s(const char *key)
+    void
+    d(const char *key, double &v)
     {
-        expect("s", key);
-        u64 len = 0;
-        if (!(is_ >> len) || len > (64u << 20))
+        const std::string_view hex = value("d", key);
+        u64 bits = 0;
+        if (hex.size() != 16 ||
+            hex.find_first_not_of("0123456789abcdef") != hex.npos ||
+            std::from_chars(hex.data(), hex.data() + 16, bits, 16).ec !=
+                std::errc())
             bad(key);
-        is_.get(); // the newline after the length
-        std::string v(len, '\0');
-        is_.read(v.data(), static_cast<std::streamsize>(len));
-        if (!is_)
+        v = std::bit_cast<double>(bits);
+    }
+
+    void
+    s(const char *key, std::string &v)
+    {
+        v.resize(number(value("s", key), kMaxStringBytes, key));
+        is_.read(v.data(), static_cast<std::streamsize>(v.size()));
+        if (!is_ || is_.get() != '\n')
             bad(key);
-        return v;
+    }
+
+    template <class Vec>
+    void
+    count(const char *key, Vec &v)
+    {
+        v.resize(number(value("u", key), kMaxVectorItems, key));
     }
 
   private:
-    void
-    expect(const char *tag, const char *key)
+    /** The next line without its newline; a missing newline is bad. */
+    const std::string &
+    next(const char *key)
     {
-        std::string t, k;
-        if (!(is_ >> t >> k) || t != tag || k != key)
+        if (!std::getline(is_, line_) || is_.eof())
             bad(key);
+        return line_;
     }
 
-    [[noreturn]] void
+    /** The value of a "tag key value" line. */
+    std::string_view
+    value(const char *tag, const char *key)
+    {
+        std::string_view rest = next(key);
+        for (const std::string_view want : {tag, key}) {
+            if (!rest.starts_with(want) || rest.size() == want.size() ||
+                rest[want.size()] != ' ')
+                bad(key);
+            rest.remove_prefix(want.size() + 1);
+        }
+        return rest;
+    }
+
+    /** Decimal digits, no sign, no leading zero, at most @p max. */
+    static u64
+    number(std::string_view text, u64 max, const char *key)
+    {
+        const char *last = text.data() + text.size();
+        u64 v = 0;
+        const auto [end, ec] = std::from_chars(text.data(), last, v);
+        if (ec != std::errc() || end != last || v > max ||
+            (text.size() > 1 && text[0] == '0'))
+            bad(key);
+        return v;
+    }
+
+    [[noreturn]] static void
     bad(const char *key)
     {
         throw std::runtime_error(std::string("malformed cache entry at ") +
@@ -110,27 +175,133 @@ class Reader {
     }
 
     std::istream &is_;
+    std::string line_;
 };
 
+// Layout tripwires: adding a field to any of these structs changes its
+// size, and walk() must then be taught the new field.  Sizes are for
+// the x86-64 System V ABI, as in service/hash.cc.
+static_assert(sizeof(RunOutcome) == 616, "update walk()");
+static_assert(sizeof(SimResult) == 352, "update walk()");
+static_assert(sizeof(CompileStats) == 80, "update walk()");
+static_assert(sizeof(RegisterStat) == 12, "update walk()");
+static_assert(sizeof(LoopStats) == 24, "update walk()");
+static_assert(sizeof(EnergyBreakdown) == 32, "update walk()");
+static_assert(sizeof(VerifyDiag) == 48, "update walk()");
+
+/**
+ * The codec's one field list, in wire order.  Writer walks a const
+ * outcome, Reader a mutable one, so each field is named exactly once.
+ */
+template <class Io, class Outcome>
 void
-writeVec(Writer &w, const char *key, const std::vector<u64> &v)
+walk(Io &io, Outcome &o)
 {
-    w.u(key, v.size());
-    for (u64 x : v)
-        w.u("item", x);
+    io.s("workload", o.workload);
+    io.s("configLabel", o.configLabel);
+
+    io.u("gridCtas", o.launch.gridCtas);
+    io.u("threadsPerCta", o.launch.threadsPerCta);
+    io.u("concCtasPerSm", o.launch.concCtasPerSm);
+
+    auto &c = o.compile;
+    io.u("inputRegs", c.inputRegs);
+    io.u("finalRegs", c.finalRegs);
+    io.u("numExempt", c.numExempt);
+    io.u("staticRegular", c.staticRegular);
+    io.u("staticMeta", c.staticMeta);
+    io.u("numPirInstrs", c.numPirInstrs);
+    io.u("numPbrInstrs", c.numPbrInstrs);
+    io.u("numPirBits", c.numPirBits);
+    io.u("numPbrRegs", c.numPbrRegs);
+    io.u("unconstrainedTableBytes", c.unconstrainedTableBytes);
+    io.u("constrainedTableBytes", c.constrainedTableBytes);
+    io.u("demotedRegs", c.demotedRegs);
+    io.u("spillLoads", c.spillLoads);
+    io.u("spillStores", c.spillStores);
+    io.count("regStats", c.regStats);
+    for (auto &rs : c.regStats) {
+        io.u("defs", rs.defs);
+        io.u("uses", rs.uses);
+        io.u("liveSpan", rs.liveSpan);
+    }
+
+    auto &s = o.sim;
+    io.u("cycles", s.cycles);
+    io.u("issuedInstrs", s.issuedInstrs);
+    io.u("threadInstrs", s.threadInstrs);
+    io.u("metaEncounters", s.metaEncounters);
+    io.u("metaDecoded", s.metaDecoded);
+    io.u("flagCacheHits", s.flagCacheHits);
+    io.u("flagCacheMisses", s.flagCacheMisses);
+    io.u("scoreboardStalls", s.scoreboardStalls);
+    io.u("allocStallEvents", s.allocStallEvents);
+    io.u("throttleActiveCycles", s.throttleActiveCycles);
+    io.u("bankConflictCycles", s.bankConflictCycles);
+    io.u("spillEvents", s.spillEvents);
+    io.u("spilledRegs", s.spilledRegs);
+    io.u("refilledRegs", s.refilledRegs);
+    io.u("wakeStallEvents", s.wakeStallEvents);
+    io.u("icacheHits", s.icacheHits);
+    io.u("icacheMisses", s.icacheMisses);
+    io.u("dcacheHits", s.dcacheHits);
+    io.u("dcacheMisses", s.dcacheMisses);
+    io.u("peakResidentWarps", s.peakResidentWarps);
+    io.u("completedCtas", s.completedCtas);
+    io.u("regsPerWarp", s.regsPerWarp);
+
+    io.count("bankReads", s.rf.bankReads);
+    for (auto &x : s.rf.bankReads)
+        io.u("item", x);
+    io.count("bankWrites", s.rf.bankWrites);
+    for (auto &x : s.rf.bankWrites)
+        io.u("item", x);
+    io.u("allocations", s.rf.allocations);
+    io.u("releases", s.rf.releases);
+    io.u("wakeEvents", s.rf.wakeEvents);
+    io.u("activeSubarrayCycles", s.rf.activeSubarrayCycles);
+    io.u("rfSampledCycles", s.rf.sampledCycles);
+    io.u("allocWatermark", s.rf.allocWatermark);
+    io.u("touchedCount", s.rf.touchedCount);
+    io.u("crossWarpReuse", s.rf.crossWarpReuse);
+    io.u("sameWarpReuse", s.rf.sameWarpReuse);
+
+    io.u("lookups", s.rename.lookups);
+    io.u("updates", s.rename.updates);
+    io.u("renameSpills", s.rename.spills);
+    io.u("renameRefills", s.rename.refills);
+    io.u("mappedRegCycles", s.rename.mappedRegCycles);
+    io.u("renameSampledCycles", s.rename.sampledCycles);
+
+    io.u("dramRequests", s.dram.requests);
+    io.u("dramTransactions", s.dram.transactions);
+    io.u("dramQueueCycles", s.dram.queueCycles);
+
+    io.u("steppedCycles", o.loop.steppedCycles);
+    io.u("skippedCycles", o.loop.skippedCycles);
+    io.u("smStepsElided", o.loop.smStepsElided);
+
+    io.d("dynamicJ", o.energy.dynamicJ);
+    io.d("staticJ", o.energy.staticJ);
+    io.d("renameTableJ", o.energy.renameTableJ);
+    io.d("flagInstrJ", o.energy.flagInstrJ);
+
+    io.u("verified", o.verified);
+    io.u("releasesChecked", o.verify.releasesChecked);
+    io.u("numErrors", o.verify.numErrors);
+    io.u("numWarnings", o.verify.numWarnings);
+    io.count("diags", o.verify.diags);
+    for (auto &dg : o.verify.diags) {
+        io.u("kind", dg.kind);
+        io.u("severity", dg.severity);
+        io.u("pc", dg.pc);
+        io.u("reg", dg.reg);
+        io.s("message", dg.message);
+    }
 }
 
-std::vector<u64>
-readVec(Reader &r, const char *key)
-{
-    const u64 n = r.u(key);
-    if (n > (1u << 20))
-        throw std::runtime_error("oversized vector in cache entry");
-    std::vector<u64> v(n);
-    for (u64 i = 0; i < n; ++i)
-        v[i] = r.u("item");
-    return v;
-}
+const std::string kHeader =
+    std::string(kMagic) + ' ' + std::to_string(kFormatVersion);
 
 } // namespace
 
@@ -138,226 +309,20 @@ void
 ResultCache::serialize(std::ostream &os, const RunOutcome &o)
 {
     Writer w(os);
-    os << kMagic << ' ' << kFormatVersion << '\n';
-    w.s("workload", o.workload);
-    w.s("configLabel", o.configLabel);
-
-    w.u("gridCtas", o.launch.gridCtas);
-    w.u("threadsPerCta", o.launch.threadsPerCta);
-    w.u("concCtasPerSm", o.launch.concCtasPerSm);
-
-    const CompileStats &c = o.compile;
-    w.u("inputRegs", c.inputRegs);
-    w.u("finalRegs", c.finalRegs);
-    w.u("numExempt", c.numExempt);
-    w.u("staticRegular", c.staticRegular);
-    w.u("staticMeta", c.staticMeta);
-    w.u("numPirInstrs", c.numPirInstrs);
-    w.u("numPbrInstrs", c.numPbrInstrs);
-    w.u("numPirBits", c.numPirBits);
-    w.u("numPbrRegs", c.numPbrRegs);
-    w.u("unconstrainedTableBytes", c.unconstrainedTableBytes);
-    w.u("constrainedTableBytes", c.constrainedTableBytes);
-    w.u("demotedRegs", c.demotedRegs);
-    w.u("spillLoads", c.spillLoads);
-    w.u("spillStores", c.spillStores);
-    w.u("regStats", c.regStats.size());
-    for (const RegisterStat &rs : c.regStats) {
-        w.u("defs", rs.defs);
-        w.u("uses", rs.uses);
-        w.u("liveSpan", rs.liveSpan);
-    }
-
-    const SimResult &s = o.sim;
-    w.u("cycles", s.cycles);
-    w.u("issuedInstrs", s.issuedInstrs);
-    w.u("threadInstrs", s.threadInstrs);
-    w.u("metaEncounters", s.metaEncounters);
-    w.u("metaDecoded", s.metaDecoded);
-    w.u("flagCacheHits", s.flagCacheHits);
-    w.u("flagCacheMisses", s.flagCacheMisses);
-    w.u("scoreboardStalls", s.scoreboardStalls);
-    w.u("allocStallEvents", s.allocStallEvents);
-    w.u("throttleActiveCycles", s.throttleActiveCycles);
-    w.u("bankConflictCycles", s.bankConflictCycles);
-    w.u("spillEvents", s.spillEvents);
-    w.u("spilledRegs", s.spilledRegs);
-    w.u("refilledRegs", s.refilledRegs);
-    w.u("wakeStallEvents", s.wakeStallEvents);
-    w.u("icacheHits", s.icacheHits);
-    w.u("icacheMisses", s.icacheMisses);
-    w.u("dcacheHits", s.dcacheHits);
-    w.u("dcacheMisses", s.dcacheMisses);
-    w.u("peakResidentWarps", s.peakResidentWarps);
-    w.u("completedCtas", s.completedCtas);
-    w.u("regsPerWarp", s.regsPerWarp);
-
-    writeVec(w, "bankReads", s.rf.bankReads);
-    writeVec(w, "bankWrites", s.rf.bankWrites);
-    w.u("allocations", s.rf.allocations);
-    w.u("releases", s.rf.releases);
-    w.u("wakeEvents", s.rf.wakeEvents);
-    w.u("activeSubarrayCycles", s.rf.activeSubarrayCycles);
-    w.u("rfSampledCycles", s.rf.sampledCycles);
-    w.u("allocWatermark", s.rf.allocWatermark);
-    w.u("touchedCount", s.rf.touchedCount);
-    w.u("crossWarpReuse", s.rf.crossWarpReuse);
-    w.u("sameWarpReuse", s.rf.sameWarpReuse);
-
-    w.u("lookups", s.rename.lookups);
-    w.u("updates", s.rename.updates);
-    w.u("renameSpills", s.rename.spills);
-    w.u("renameRefills", s.rename.refills);
-    w.u("mappedRegCycles", s.rename.mappedRegCycles);
-    w.u("renameSampledCycles", s.rename.sampledCycles);
-
-    w.u("dramRequests", s.dram.requests);
-    w.u("dramTransactions", s.dram.transactions);
-    w.u("dramQueueCycles", s.dram.queueCycles);
-
-    w.u("steppedCycles", o.loop.steppedCycles);
-    w.u("skippedCycles", o.loop.skippedCycles);
-    w.u("smStepsElided", o.loop.smStepsElided);
-
-    w.d("dynamicJ", o.energy.dynamicJ);
-    w.d("staticJ", o.energy.staticJ);
-    w.d("renameTableJ", o.energy.renameTableJ);
-    w.d("flagInstrJ", o.energy.flagInstrJ);
-
-    w.u("verified", o.verified ? 1 : 0);
-    w.u("releasesChecked", o.verify.releasesChecked);
-    w.u("numErrors", o.verify.numErrors);
-    w.u("numWarnings", o.verify.numWarnings);
-    w.u("diags", o.verify.diags.size());
-    for (const VerifyDiag &dg : o.verify.diags) {
-        w.u("kind", static_cast<u64>(dg.kind));
-        w.u("severity", static_cast<u64>(dg.severity));
-        w.u("pc", dg.pc);
-        w.u("reg", dg.reg);
-        w.s("message", dg.message);
-    }
-    os << "end\n";
+    w.line(kHeader);
+    walk(w, o);
+    w.line("end");
 }
 
 RunOutcome
 ResultCache::deserialize(std::istream &is)
 {
-    std::string magic;
-    u64 fmt = 0;
-    if (!(is >> magic >> fmt) || magic != kMagic || fmt != kFormatVersion)
-        throw std::runtime_error("bad cache entry header");
-
     Reader r(is);
     RunOutcome o;
-    o.workload = r.s("workload");
-    o.configLabel = r.s("configLabel");
-
-    o.launch.gridCtas = static_cast<u32>(r.u("gridCtas"));
-    o.launch.threadsPerCta = static_cast<u32>(r.u("threadsPerCta"));
-    o.launch.concCtasPerSm = static_cast<u32>(r.u("concCtasPerSm"));
-
-    CompileStats &c = o.compile;
-    c.inputRegs = static_cast<u32>(r.u("inputRegs"));
-    c.finalRegs = static_cast<u32>(r.u("finalRegs"));
-    c.numExempt = static_cast<u32>(r.u("numExempt"));
-    c.staticRegular = static_cast<u32>(r.u("staticRegular"));
-    c.staticMeta = static_cast<u32>(r.u("staticMeta"));
-    c.numPirInstrs = static_cast<u32>(r.u("numPirInstrs"));
-    c.numPbrInstrs = static_cast<u32>(r.u("numPbrInstrs"));
-    c.numPirBits = static_cast<u32>(r.u("numPirBits"));
-    c.numPbrRegs = static_cast<u32>(r.u("numPbrRegs"));
-    c.unconstrainedTableBytes =
-        static_cast<u32>(r.u("unconstrainedTableBytes"));
-    c.constrainedTableBytes =
-        static_cast<u32>(r.u("constrainedTableBytes"));
-    c.demotedRegs = static_cast<u32>(r.u("demotedRegs"));
-    c.spillLoads = static_cast<u32>(r.u("spillLoads"));
-    c.spillStores = static_cast<u32>(r.u("spillStores"));
-    const u64 nrs = r.u("regStats");
-    if (nrs > (1u << 20))
-        throw std::runtime_error("oversized regStats in cache entry");
-    c.regStats.resize(nrs);
-    for (RegisterStat &rs : c.regStats) {
-        rs.defs = static_cast<u32>(r.u("defs"));
-        rs.uses = static_cast<u32>(r.u("uses"));
-        rs.liveSpan = static_cast<u32>(r.u("liveSpan"));
-    }
-
-    SimResult &s = o.sim;
-    s.cycles = r.u("cycles");
-    s.issuedInstrs = r.u("issuedInstrs");
-    s.threadInstrs = r.u("threadInstrs");
-    s.metaEncounters = r.u("metaEncounters");
-    s.metaDecoded = r.u("metaDecoded");
-    s.flagCacheHits = r.u("flagCacheHits");
-    s.flagCacheMisses = r.u("flagCacheMisses");
-    s.scoreboardStalls = r.u("scoreboardStalls");
-    s.allocStallEvents = r.u("allocStallEvents");
-    s.throttleActiveCycles = r.u("throttleActiveCycles");
-    s.bankConflictCycles = r.u("bankConflictCycles");
-    s.spillEvents = r.u("spillEvents");
-    s.spilledRegs = r.u("spilledRegs");
-    s.refilledRegs = r.u("refilledRegs");
-    s.wakeStallEvents = r.u("wakeStallEvents");
-    s.icacheHits = r.u("icacheHits");
-    s.icacheMisses = r.u("icacheMisses");
-    s.dcacheHits = r.u("dcacheHits");
-    s.dcacheMisses = r.u("dcacheMisses");
-    s.peakResidentWarps = static_cast<u32>(r.u("peakResidentWarps"));
-    s.completedCtas = static_cast<u32>(r.u("completedCtas"));
-    s.regsPerWarp = static_cast<u32>(r.u("regsPerWarp"));
-
-    s.rf.bankReads = readVec(r, "bankReads");
-    s.rf.bankWrites = readVec(r, "bankWrites");
-    s.rf.allocations = r.u("allocations");
-    s.rf.releases = r.u("releases");
-    s.rf.wakeEvents = r.u("wakeEvents");
-    s.rf.activeSubarrayCycles = r.u("activeSubarrayCycles");
-    s.rf.sampledCycles = r.u("rfSampledCycles");
-    s.rf.allocWatermark = static_cast<u32>(r.u("allocWatermark"));
-    s.rf.touchedCount = static_cast<u32>(r.u("touchedCount"));
-    s.rf.crossWarpReuse = r.u("crossWarpReuse");
-    s.rf.sameWarpReuse = r.u("sameWarpReuse");
-
-    s.rename.lookups = r.u("lookups");
-    s.rename.updates = r.u("updates");
-    s.rename.spills = r.u("renameSpills");
-    s.rename.refills = r.u("renameRefills");
-    s.rename.mappedRegCycles = r.u("mappedRegCycles");
-    s.rename.sampledCycles = r.u("renameSampledCycles");
-
-    s.dram.requests = r.u("dramRequests");
-    s.dram.transactions = r.u("dramTransactions");
-    s.dram.queueCycles = r.u("dramQueueCycles");
-
-    o.loop.steppedCycles = r.u("steppedCycles");
-    o.loop.skippedCycles = r.u("skippedCycles");
-    o.loop.smStepsElided = r.u("smStepsElided");
-
-    o.energy.dynamicJ = r.d("dynamicJ");
-    o.energy.staticJ = r.d("staticJ");
-    o.energy.renameTableJ = r.d("renameTableJ");
-    o.energy.flagInstrJ = r.d("flagInstrJ");
-
-    o.verified = r.u("verified") != 0;
-    o.verify.releasesChecked = static_cast<u32>(r.u("releasesChecked"));
-    o.verify.numErrors = static_cast<u32>(r.u("numErrors"));
-    o.verify.numWarnings = static_cast<u32>(r.u("numWarnings"));
-    const u64 nd = r.u("diags");
-    if (nd > (1u << 20))
-        throw std::runtime_error("oversized diags in cache entry");
-    o.verify.diags.resize(nd);
-    for (VerifyDiag &dg : o.verify.diags) {
-        dg.kind = static_cast<VerifyKind>(r.u("kind"));
-        dg.severity = static_cast<VerifySeverity>(r.u("severity"));
-        dg.pc = static_cast<u32>(r.u("pc"));
-        dg.reg = static_cast<u32>(r.u("reg"));
-        dg.message = r.s("message");
-    }
-
-    std::string tail;
-    if (!(is >> tail) || tail != "end")
-        throw std::runtime_error("truncated cache entry");
+    r.line(kHeader);
+    walk(r, o);
+    r.line("end");
+    r.finish();
     return o;
 }
 
@@ -516,28 +481,20 @@ void
 ResultCache::admit(Shard &sh, const std::string &hex,
                    std::shared_ptr<const RunOutcome> outcome)
 {
-    const u64 bytes = entryBytes(*outcome);
+    auto e = std::make_unique<Entry>();
+    e->bytes = entryBytes(*outcome);
+    e->outcome = std::move(outcome);
     WriterLock lk(sh.mu);
-    auto it = sh.map.find(hex);
-    if (it != sh.map.end()) {
-        Entry &e = *it->second;
-        sh.bytes -= e.bytes;
-        e.outcome = std::move(outcome);
-        e.bytes = bytes;
-        sh.bytes += bytes;
-        // relaxed: recency metadata; see lookup().
-        e.lastUse.store(tick_.fetch_add(1, std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    } else {
-        auto e = std::make_unique<Entry>();
-        e->outcome = std::move(outcome);
-        e->bytes = bytes;
-        // relaxed: recency metadata; see lookup().
-        e->lastUse.store(tick_.fetch_add(1, std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        sh.bytes += bytes;
-        sh.map.emplace(hex, std::move(e));
-    }
+    // relaxed: recency metadata; see lookup().
+    e->lastUse.store(tick_.fetch_add(1, std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    // A replaced entry is dropped whole: readers hold their own
+    // shared_ptr copies of its outcome.
+    auto [it, fresh] = sh.map.try_emplace(hex);
+    if (!fresh)
+        sh.bytes -= it->second->bytes;
+    sh.bytes += e->bytes;
+    it->second = std::move(e);
     evictLocked(sh, hex);
 }
 

@@ -116,11 +116,6 @@ Gpu::run()
 
     const u32 num_sms = static_cast<u32>(sms_.size());
 
-    // Per-cycle trace hooks observe every cycle, so they force the
-    // naive loop; results are bit-identical either way.
-    const bool event_driven =
-        cfg_.eventDriven && !hooks_.liveSample && !hooks_.regEvent;
-
     // Earliest cycle each SM's state can change (0 = step immediately).
     std::vector<Cycle> next_wake(num_sms, 0);
     std::vector<u8> stepped(num_sms, 1);
@@ -158,7 +153,7 @@ Gpu::run()
         if (!busy && next_cta >= launch_.gridCtas)
             break;
 
-        if (event_driven) {
+        if (cfg_.eventDriven) {
             // Fleet fast-forward: when no SM can progress this cycle,
             // jump straight to the earliest fleet-wide wakeup and
             // reconstruct the skipped window's per-cycle counters.
@@ -204,7 +199,7 @@ Gpu::run()
         if (next_cta < launch_.gridCtas)
             dispatch();
 
-        if (event_driven) {
+        if (cfg_.eventDriven) {
             // Stepped and freshly launched-into SMs have new state;
             // everyone else's wakeup estimate is still valid.
             for (u32 i = 0; i < num_sms; ++i)

@@ -122,8 +122,9 @@ struct LoopStats {
  * and when every SM is quiet the clock jumps straight to the
  * fleet-wide minimum with per-cycle counters reconstructed by
  * Sm::skipCycles.  Results stay bit-identical to the naive loop
- * (enforced by tests/test_event_equivalence.cc); per-cycle TraceHooks
- * automatically fall back to the naive loop.
+ * (enforced by tests/test_event_equivalence.cc), and TraceHooks see
+ * the same streams on both loops: the sampled SM wakes on every
+ * sample cycle.
  */
 class Gpu {
   public:

@@ -73,8 +73,8 @@ struct GpuConfig {
      * (idle/throttle/sampling counters, LRR rotation) reconstructed
      * arithmetically.  Results are bit-identical to the naive
      * step-every-cycle loop, which is kept as the equivalence oracle
-     * (tests/test_event_equivalence.cc) and used automatically when
-     * per-cycle TraceHooks are installed.
+     * (tests/test_event_equivalence.cc).  TraceHooks run on either
+     * loop.
      */
     bool eventDriven = true;
 
@@ -137,9 +137,8 @@ struct TraceHooks {
      * attributes its wall-clock time to per-phase buckets
      * (fetch/schedule/execute/commit) and Gpu::run() sums every SM's
      * buckets into this profile when the run ends.
-     * Unlike the per-cycle hooks above this does NOT force the naive
-     * loop — the event-driven loop is profiled as it actually runs
-     * (elided cycles cost no time and appear in no bucket).
+     * The event-driven loop is profiled as it actually runs (elided
+     * cycles cost no time and appear in no bucket).
      */
     LoopProfile *loopProfile = nullptr;
 };

@@ -126,6 +126,7 @@ Sm::Sm(u32 sm_id, const GpuConfig &cfg, const Program &prog,
 
     bankPortUse_.assign(cfg.regFile.numBanks, 0);
     profiling_ = hooks_.loopProfile != nullptr;
+    sampling_ = smId_ == 0 && hooks_.liveSample && hooks_.samplePeriod > 0;
 
     // Pre-size the hot-path containers so steady-state simulation never
     // allocates.
@@ -1448,8 +1449,7 @@ Sm::step(Cycle now)
         ++stats_.idleCycles;
 
     mgr_.sampleCycle();
-    if (hooks_.liveSample && hooks_.samplePeriod > 0 && smId_ == 0 &&
-        now % hooks_.samplePeriod == 0) {
+    if (sampling_ && now % hooks_.samplePeriod == 0) {
         hooks_.liveSample(now, mgr_.mappedCount(),
                           residentWarps() * prog_.numRegs);
     }
@@ -1472,6 +1472,10 @@ Sm::nextEventCycle(Cycle now) const
         !pendingAtomics_.empty()) {
         next = std::min(next, now + 1);
     }
+    // The sampled SM must step on every sample cycle.
+    if (sampling_)
+        next = std::min(next, (now / hooks_.samplePeriod + 1) *
+                                  hooks_.samplePeriod);
     return next;
 }
 

@@ -374,6 +374,8 @@ class Sm {
     LoopProfile prof_;
     bool profiling_ = false;
     bool profStep_ = false; //!< the current step is a timed sample
+    /** SM0 with a liveSample hook and a period: steps every sample. */
+    bool sampling_ = false;
 };
 
 } // namespace rfv

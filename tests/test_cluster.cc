@@ -358,6 +358,24 @@ TEST(Cluster, ReplicaStoreCompilesNothingAndRejectsAMislabeledKey)
         << ack.get("error");
     EXPECT_EQ(counter(replicaServer, "replication_rejected"), 1u);
     EXPECT_EQ(counter(replicaServer, "replication_stored"), 1u);
+
+    // A correctly keyed STORE whose outcome does not parse strictly
+    // (a negative counter) is refused too, not stored as a cache hit.
+    std::string tampered = os.str();
+    const std::size_t at = tampered.find("\nu cycles ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t eol = tampered.find('\n', at + 1);
+    tampered.replace(at, eol - at, "\nu cycles -5");
+    ASSERT_EQ(replica.request(encodeStoreRequest(req, first.key, tampered),
+                              ack, error),
+              ServiceStatus::kOk)
+        << error;
+    EXPECT_EQ(ack.verb, kVerbStored);
+    EXPECT_EQ(ack.get("stored"), "0");
+    EXPECT_NE(ack.get("error").find("malformed"), std::string::npos)
+        << ack.get("error");
+    EXPECT_EQ(counter(replicaServer, "replication_rejected"), 2u);
+    EXPECT_EQ(counter(replicaServer, "replication_stored"), 1u);
 }
 
 TEST(Cluster, ProbeReportsNodeHealth)

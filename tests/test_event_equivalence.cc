@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "compiler/pipeline.h"
 #include "sim/gpu.h"
@@ -193,11 +195,17 @@ TEST(EventEquivalence, EventLoopActuallySkipsCycles)
         << "event-driven loop skipped almost nothing";
 }
 
-TEST(EventEquivalence, TraceHooksFallBackToNaiveLoop)
+struct HookedRun {
+    SimResult sim;
+    LoopStats loop;
+    std::vector<std::tuple<Cycle, u32, u32>> samples;
+    std::vector<std::tuple<Cycle, u32, u32, u32, RegEvent>> events;
+};
+
+HookedRun
+runHooked(bool event_driven)
 {
-    // Per-cycle hooks must observe every cycle, so the event loop
-    // auto-falls back; results are identical either way.
-    const auto workload = findWorkload("Reduction");
+    const auto workload = findWorkload("MUM");
     CompileOptions copts;
     copts.virtualize = true;
     copts.renamingTableBytes = 1024;
@@ -206,23 +214,50 @@ TEST(EventEquivalence, TraceHooksFallBackToNaiveLoop)
 
     GpuConfig cfg;
     cfg.numSms = 2;
-    cfg.eventDriven = true;
+    cfg.eventDriven = event_driven;
     cfg.regFile.mode = RegFileMode::kVirtualized;
 
     const LaunchParams launch = workload->scaledLaunch(cfg.numSms, 1);
     GlobalMemory mem(workload->memoryBytes(launch));
     workload->setup(mem, launch);
 
-    u64 samples = 0;
+    HookedRun out;
     TraceHooks hooks;
-    hooks.samplePeriod = 100;
-    hooks.liveSample = [&](Cycle, u32, u32) { ++samples; };
+    hooks.samplePeriod = 37;
+    hooks.liveSample = [&](Cycle c, u32 mapped, u32 reserved) {
+        out.samples.emplace_back(c, mapped, reserved);
+    };
+    hooks.regEvent = [&](Cycle c, u32 sm, u32 warp, u32 reg, RegEvent e) {
+        out.events.emplace_back(c, sm, warp, reg, e);
+    };
 
     Gpu gpu(cfg, ck.program, launch, mem, hooks);
-    const SimResult res = gpu.run();
-    EXPECT_EQ(gpu.loopStats().skippedCycles, 0u);
-    EXPECT_EQ(gpu.loopStats().steppedCycles, res.cycles);
-    EXPECT_GE(samples, res.cycles / 100);
+    out.sim = gpu.run();
+    out.loop = gpu.loopStats();
+    workload->verify(mem, launch);
+    return out;
+}
+
+TEST(EventEquivalence, TraceHooksSeeTheSameStreamOnBothLoops)
+{
+    // Trace hooks run on the event-driven loop: register events fire
+    // only inside a step, which elided cycles never contain, and the
+    // sampled SM is woken on every sample cycle.  Both loops must hand
+    // the hooks the same streams.
+    const HookedRun naive = runHooked(false);
+    const HookedRun event = runHooked(true);
+    EXPECT_TRUE(naive.sim == event.sim) << diffResults(naive.sim, event.sim);
+    EXPECT_EQ(naive.samples.size(), (naive.sim.cycles - 1) / 37 + 1);
+    EXPECT_TRUE(naive.samples == event.samples)
+        << naive.samples.size() << " vs " << event.samples.size()
+        << " samples";
+    EXPECT_FALSE(naive.events.empty());
+    EXPECT_TRUE(naive.events == event.events)
+        << naive.events.size() << " vs " << event.events.size()
+        << " register events";
+    EXPECT_EQ(naive.loop.skippedCycles, 0u);
+    EXPECT_GT(event.loop.skippedCycles, 0u)
+        << "hooked runs must still fast-forward";
 }
 
 } // namespace

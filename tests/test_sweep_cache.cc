@@ -9,7 +9,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
+#include <vector>
 
 #include "core/simulator.h"
 #include "service/hash.h"
@@ -280,6 +282,118 @@ TEST(SweepCacheCodec, MalformedInputThrows)
     const std::string text = ss.str();
     std::stringstream cut(text.substr(0, text.size() / 2));
     EXPECT_THROW(ResultCache::deserialize(cut), std::runtime_error);
+}
+
+/** An outcome with every line kind: regStats, diags, nonzero doubles. */
+RunOutcome
+handBuiltOutcome()
+{
+    RunOutcome o;
+    o.workload = "MatrixMul";
+    o.configLabel = "virt 50%";
+    o.launch = LaunchParams{12, 256, 4};
+    o.compile.inputRegs = 24;
+    o.compile.finalRegs = 21;
+    o.compile.regStats = {{3, 7, 40}, {1, 2, 9}, {0, 0, 0}};
+    o.sim.cycles = 123456;
+    o.sim.issuedInstrs = 98765;
+    o.sim.peakResidentWarps = 48;
+    o.sim.rf.bankReads = {5, 6, 7, 8};
+    o.sim.rf.bankWrites = {1, 0, 2, 3};
+    o.sim.rf.allocWatermark = 300;
+    o.loop.skippedCycles = 42;
+    o.energy = EnergyBreakdown{1.5e-6, 2.25e-7, 3.0e-9, 0.1};
+    o.verified = true;
+    o.verify.releasesChecked = 17;
+    o.verify.numErrors = 1;
+    o.verify.numWarnings = 1;
+    o.verify.diags = {
+        {VerifyKind::kUseAfterRelease, VerifySeverity::kError, 7, 1,
+         "use after release of r1"},
+        {VerifyKind::kBadMetadata, VerifySeverity::kWarning, 12, 3, ""},
+    };
+    return o;
+}
+
+TEST(SweepCacheCodec, AcceptedEntriesReserializeByteForByte)
+{
+    // The reader is the exact inverse of the writer: whatever it
+    // accepts must re-serialize to the very bytes it was given, so a
+    // tampered disk entry or frame either fails closed or is already
+    // canonical.  Mutate every line of a real entry and check that.
+    std::ostringstream os;
+    ResultCache::serialize(os, handBuiltOutcome());
+    const std::string entry = os.str();
+    std::vector<std::string> lines;
+    for (std::size_t at = 0; at < entry.size();) {
+        const std::size_t nl = entry.find('\n', at);
+        lines.push_back(entry.substr(at, nl - at));
+        at = nl + 1;
+    }
+    const auto join = [](const std::vector<std::string> &ls) {
+        std::string text;
+        for (const std::string &l : ls)
+            text += l + '\n';
+        return text;
+    };
+    ASSERT_EQ(join(lines), entry);
+
+    u64 accepted = 0, rejected = 0;
+    const auto check = [&](const std::string &text, const std::string &what) {
+        std::istringstream is(text);
+        RunOutcome back;
+        try {
+            back = ResultCache::deserialize(is);
+        } catch (const std::runtime_error &) {
+            ++rejected;
+            return;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << ": not a runtime_error: " << e.what();
+            return;
+        }
+        ++accepted;
+        std::ostringstream again;
+        ResultCache::serialize(again, back);
+        EXPECT_EQ(again.str(), text) << what;
+    };
+
+    check(entry, "unmutated");
+    EXPECT_EQ(accepted, 1u);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::string &line = lines[i];
+        const std::size_t sp = line.rfind(' ');
+        const std::string prefix =
+            sp == std::string::npos ? "" : line.substr(0, sp + 1);
+        std::string upper = line.substr(prefix.size());
+        for (char &ch : upper)
+            ch = static_cast<char>(std::toupper(static_cast<u8>(ch)));
+        const std::string values[] = {
+            "", "-1", "+1", "01", "2", "4294967296",
+            "18446744073709551616", "zzzzzzzzzzzzzzzz", upper,
+            "3FF0000000000000"};
+        std::vector<std::string> mutated = lines;
+        for (const std::string &v : values) {
+            mutated[i] = prefix + v;
+            check(join(mutated), "line " + std::to_string(i) + " = '" +
+                                     mutated[i] + "'");
+        }
+        mutated[i] = line + ' ';
+        check(join(mutated), "trailing space on line " + std::to_string(i));
+
+        mutated = lines;
+        mutated.erase(mutated.begin() + static_cast<long>(i));
+        check(join(mutated), "dropped line " + std::to_string(i));
+        mutated = lines;
+        mutated.insert(mutated.begin() + static_cast<long>(i), line);
+        check(join(mutated), "duplicated line " + std::to_string(i));
+    }
+    check(entry + 'x', "byte after end");
+    check(entry + '\n', "newline after end");
+
+    // Both branches are exercised: e.g. "2" is a valid u32 value but
+    // not a valid bool, and "4294967296" fits only u64 fields.
+    EXPECT_GT(accepted, 1u);
+    EXPECT_GT(rejected, lines.size());
 }
 
 } // namespace
