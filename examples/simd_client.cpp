@@ -44,6 +44,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/decimal.h"
 #include "common/sync.h"
 #include "core/report.h"
 #include "net/client.h"
@@ -103,56 +104,54 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        try {
-            if (arg.rfind("--host=", 0) == 0)
-                copts.host = arg.substr(7);
-            else if (arg.rfind("--port=", 0) == 0)
-                copts.port = static_cast<u16>(std::stoul(arg.substr(7)));
-            else if (arg.rfind("--cluster=", 0) == 0)
-                cluster = arg.substr(10);
-            else if (arg.rfind("--workload=", 0) == 0)
-                workload = arg.substr(11);
-            else if (arg.rfind("--config=", 0) == 0)
-                config = arg.substr(9);
-            else if (arg.rfind("--set=", 0) == 0) {
-                const std::string kv = arg.substr(6);
-                const size_t eq = kv.find('=');
-                if (eq == std::string::npos || eq == 0) {
-                    std::cerr << "--set expects key=value, got '" << kv
-                              << "'\n";
-                    return 2;
-                }
-                overrides.emplace_back(kv.substr(0, eq),
-                                       kv.substr(eq + 1));
-            } else if (arg.rfind("--manifest=", 0) == 0)
-                manifestPath = arg.substr(11);
-            else if (arg == "--default")
-                useDefault = true;
-            else if (arg == "--stats")
-                wantStats = true;
-            else if (arg.rfind("--jobs=", 0) == 0)
-                jobs = std::max(1u, static_cast<u32>(
-                                        std::stoul(arg.substr(7))));
-            else if (arg.rfind("--deadline-ms=", 0) == 0)
-                deadlineMs = std::stol(arg.substr(14));
-            else if (arg.rfind("--retries=", 0) == 0)
-                copts.maxAttempts =
-                    static_cast<u32>(std::stoul(arg.substr(10)));
-            else if (arg.rfind("--backoff-ms=", 0) == 0)
-                copts.backoffBaseMs = std::stol(arg.substr(13));
-            else if (arg.rfind("--sms=", 0) == 0)
-                overrides.emplace_back("numSms", arg.substr(6));
-            else if (arg.rfind("--rounds=", 0) == 0)
-                overrides.emplace_back("roundsPerSm", arg.substr(9));
-            else if (arg.rfind("--csv=", 0) == 0)
-                csvOut = arg.substr(6);
-            else if (arg == "--quiet")
-                quiet = true;
-            else {
-                std::cerr << "unknown option " << arg << "\n";
+        bool ok = true;
+        if (arg.rfind("--host=", 0) == 0)
+            copts.host = arg.substr(7);
+        else if (arg.rfind("--port=", 0) == 0)
+            ok = parseCanonical(arg.substr(7), copts.port);
+        else if (arg.rfind("--cluster=", 0) == 0)
+            cluster = arg.substr(10);
+        else if (arg.rfind("--workload=", 0) == 0)
+            workload = arg.substr(11);
+        else if (arg.rfind("--config=", 0) == 0)
+            config = arg.substr(9);
+        else if (arg.rfind("--set=", 0) == 0) {
+            const std::string kv = arg.substr(6);
+            const size_t eq = kv.find('=');
+            if (eq == std::string::npos || eq == 0) {
+                std::cerr << "--set expects key=value, got '" << kv
+                          << "'\n";
                 return 2;
             }
-        } catch (const std::exception &) {
+            overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+        } else if (arg.rfind("--manifest=", 0) == 0)
+            manifestPath = arg.substr(11);
+        else if (arg == "--default")
+            useDefault = true;
+        else if (arg == "--stats")
+            wantStats = true;
+        else if (arg.rfind("--jobs=", 0) == 0) {
+            ok = parseCanonical(arg.substr(7), jobs);
+            jobs = std::max(1u, jobs);
+        } else if (arg.rfind("--deadline-ms=", 0) == 0)
+            ok = parseCanonical(arg.substr(14), deadlineMs);
+        else if (arg.rfind("--retries=", 0) == 0)
+            ok = parseCanonical(arg.substr(10), copts.maxAttempts);
+        else if (arg.rfind("--backoff-ms=", 0) == 0)
+            ok = parseCanonical(arg.substr(13), copts.backoffBaseMs);
+        else if (arg.rfind("--sms=", 0) == 0)
+            overrides.emplace_back("numSms", arg.substr(6));
+        else if (arg.rfind("--rounds=", 0) == 0)
+            overrides.emplace_back("roundsPerSm", arg.substr(9));
+        else if (arg.rfind("--csv=", 0) == 0)
+            csvOut = arg.substr(6);
+        else if (arg == "--quiet")
+            quiet = true;
+        else {
+            std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
             std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }

@@ -50,6 +50,7 @@
 #include <iostream>
 #include <thread>
 
+#include "common/decimal.h"
 #include "net/server.h"
 
 using namespace rfv;
@@ -75,54 +76,50 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        try {
-            if (arg.rfind("--port=", 0) == 0)
-                opts.port = static_cast<u16>(std::stoul(arg.substr(7)));
-            else if (arg.rfind("--executors=", 0) == 0)
-                opts.executors =
-                    static_cast<u32>(std::stoul(arg.substr(12)));
-            else if (arg.rfind("--queue=", 0) == 0)
-                opts.queueCapacity =
-                    static_cast<u32>(std::stoul(arg.substr(8)));
-            else if (arg.rfind("--max-conns=", 0) == 0)
-                opts.maxConnections =
-                    static_cast<u32>(std::stoul(arg.substr(12)));
-            else if (arg.rfind("--idle-timeout-ms=", 0) == 0)
-                opts.idleTimeoutMs = std::stol(arg.substr(18));
-            else if (arg.rfind("--cache-dir=", 0) == 0)
-                opts.sweep.cacheDir = arg.substr(12);
-            else if (arg == "--no-cache")
-                opts.sweep.useCache = false;
-            else if (arg.rfind("--cache-budget-mb=", 0) == 0)
-                opts.sweep.cacheMemoryBudget =
-                    std::stoull(arg.substr(18)) << 20;
-            else if (arg.rfind("--cluster=", 0) == 0) {
-                std::vector<RingNode> nodes;
-                std::string error;
-                if (!parseEndpointList(arg.substr(10), nodes, error)) {
-                    std::cerr << "--cluster: " << error << "\n";
-                    return 2;
-                }
-                opts.cluster.nodes.clear();
-                for (const RingNode &n : nodes)
-                    opts.cluster.nodes.push_back(n.endpoint());
-            } else if (arg.rfind("--self=", 0) == 0)
-                opts.cluster.self = arg.substr(7);
-            else if (arg.rfind("--replication=", 0) == 0)
-                opts.cluster.replication =
-                    static_cast<u32>(std::stoul(arg.substr(14)));
-            else if (arg.rfind("--vnodes=", 0) == 0)
-                opts.cluster.vnodes =
-                    static_cast<u32>(std::stoul(arg.substr(9)));
-            else if (arg.rfind("--ring-epoch=", 0) == 0)
-                opts.cluster.epoch = std::stoull(arg.substr(13));
-            else if (arg == "--quiet")
-                quiet = true;
-            else {
-                std::cerr << "unknown option " << arg << "\n";
+        bool ok = true;
+        if (arg.rfind("--port=", 0) == 0)
+            ok = parseCanonical(arg.substr(7), opts.port);
+        else if (arg.rfind("--executors=", 0) == 0)
+            ok = parseCanonical(arg.substr(12), opts.executors);
+        else if (arg.rfind("--queue=", 0) == 0)
+            ok = parseCanonical(arg.substr(8), opts.queueCapacity);
+        else if (arg.rfind("--max-conns=", 0) == 0)
+            ok = parseCanonical(arg.substr(12), opts.maxConnections);
+        else if (arg.rfind("--idle-timeout-ms=", 0) == 0)
+            ok = parseCanonical(arg.substr(18), opts.idleTimeoutMs);
+        else if (arg.rfind("--cache-dir=", 0) == 0)
+            opts.sweep.cacheDir = arg.substr(12);
+        else if (arg == "--no-cache")
+            opts.sweep.useCache = false;
+        else if (arg.rfind("--cache-budget-mb=", 0) == 0) {
+            u64 mb = 0;
+            ok = parseCanonical(arg.substr(18), mb, ~0ull >> 20);
+            opts.sweep.cacheMemoryBudget = mb << 20;
+        } else if (arg.rfind("--cluster=", 0) == 0) {
+            std::vector<RingNode> nodes;
+            std::string error;
+            if (!parseEndpointList(arg.substr(10), nodes, error)) {
+                std::cerr << "--cluster: " << error << "\n";
                 return 2;
             }
-        } catch (const std::exception &) {
+            opts.cluster.nodes.clear();
+            for (const RingNode &n : nodes)
+                opts.cluster.nodes.push_back(n.endpoint());
+        } else if (arg.rfind("--self=", 0) == 0)
+            opts.cluster.self = arg.substr(7);
+        else if (arg.rfind("--replication=", 0) == 0)
+            ok = parseCanonical(arg.substr(14), opts.cluster.replication);
+        else if (arg.rfind("--vnodes=", 0) == 0)
+            ok = parseCanonical(arg.substr(9), opts.cluster.vnodes);
+        else if (arg.rfind("--ring-epoch=", 0) == 0)
+            ok = parseCanonical(arg.substr(13), opts.cluster.epoch);
+        else if (arg == "--quiet")
+            quiet = true;
+        else {
+            std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
             std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }

@@ -7,6 +7,7 @@
 
 #include "analysis/mutation.h"
 #include "analysis/verifier.h"
+#include "common/decimal.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/sync.h"
@@ -498,15 +499,10 @@ parseCorpusLine(const std::string &line, CorpusEntry &entry,
             out.expectCaught = val == "caught";
             haveExpect = true;
         } else if (key == "mutation") {
-            u32 idx = 0;
-            for (char c : val) {
-                if (c < '0' || c > '9') {
-                    error = "bad corpus mutation index: " + val;
-                    return false;
-                }
-                idx = idx * 10 + static_cast<u32>(c - '0');
+            if (!parseCanonical(val, out.mutationIndex)) {
+                error = "bad corpus mutation index: " + val;
+                return false;
             }
-            out.mutationIndex = idx;
         } else {
             error = "unknown corpus key: " + key;
             return false;

@@ -128,6 +128,9 @@ FuzzReport runFuzz(const FuzzOptions &opts);
  *
  *   spec=<gen:...> config=<label> oracle=<name> expect=<pass|caught>
  *       [mutation=<idx>] [# comment]
+ *
+ * The spec is a canonical GenSpec::name() and idx a canonical decimal
+ * below 2^32; any other spelling is a malformed line.
  */
 struct CorpusEntry {
     GenSpec spec;

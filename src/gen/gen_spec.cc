@@ -4,38 +4,12 @@
 #include <sstream>
 
 #include "common/bit_utils.h"
+#include "common/decimal.h"
 #include "common/error.h"
 
 namespace rfv {
 
 namespace {
-
-bool
-parseU64(const std::string &s, u64 &out)
-{
-    if (s.empty())
-        return false;
-    u64 v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        if (v > (~0ull - (c - '0')) / 10)
-            return false; // overflow
-        v = v * 10 + static_cast<u64>(c - '0');
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseU32(const std::string &s, u32 &out)
-{
-    u64 v = 0;
-    if (!parseU64(s, v) || v > 0xffffffffull)
-        return false;
-    out = static_cast<u32>(v);
-    return true;
-}
 
 /** Split @p s on @p sep (no empty-token elision). */
 std::vector<std::string>
@@ -82,22 +56,7 @@ GenSpec::parse(const std::string &name, GenSpec &spec, std::string &error)
         return false;
     }
     GenSpec out;
-    out.prune.clear();
-    out.exchanges = false;
-    out.earlyExits = false;
-
-    // Every field must appear exactly once; 'p' is optional.
-    u32 seen = 0;
-    const auto mark = [&](u32 bit) {
-        if (seen & (1u << bit))
-            return false;
-        seen |= 1u << bit;
-        return true;
-    };
-
-    const auto fields =
-        split(name.substr(prefix.size()), ':');
-    for (const std::string &field : fields) {
+    for (const std::string &field : split(name.substr(prefix.size()), ':')) {
         if (field.size() < 2) {
             error = "malformed gen field '" + field + "' in " + name;
             return false;
@@ -107,60 +66,47 @@ GenSpec::parse(const std::string &name, GenSpec &spec, std::string &error)
         bool ok = true;
         switch (key) {
           case 's':
-            ok = mark(0) && parseU64(val, out.seed);
+            ok = parseCanonical(val, out.seed);
             break;
           case 'd':
-            ok = mark(1) && parseU32(val, out.depth);
+            ok = parseCanonical(val, out.depth);
             break;
           case 'b':
-            ok = mark(2) && parseU32(val, out.blocks);
+            ok = parseCanonical(val, out.blocks);
             break;
           case 'r':
-            ok = mark(3) && parseU32(val, out.regs);
+            ok = parseCanonical(val, out.regs);
             break;
           case 'l':
-            ok = mark(4) && parseU32(val, out.longLived);
+            ok = parseCanonical(val, out.longLived);
             break;
           case 'w': {
             const auto parts = split(val, '.');
-            ok = mark(5) && parts.size() == 3 &&
-                 parseU32(parts[0], out.loopWeight) &&
-                 parseU32(parts[1], out.branchWeight) &&
-                 parseU32(parts[2], out.memWeight);
+            ok = parts.size() == 3 &&
+                 parseCanonical(parts[0], out.loopWeight) &&
+                 parseCanonical(parts[1], out.branchWeight) &&
+                 parseCanonical(parts[2], out.memWeight);
             break;
           }
           case 'a':
-            ok = mark(6) && parseU32(val, out.auxStores);
+            ok = parseCanonical(val, out.auxStores);
             break;
-          case 'x': {
-            ok = mark(7) && val.size() == 2 &&
-                 (val[0] == '0' || val[0] == '1') &&
-                 (val[1] == '0' || val[1] == '1');
-            if (ok) {
-                out.exchanges = val[0] == '1';
-                out.earlyExits = val[1] == '1';
-            }
+          case 'x': // any spelling but x00..x11 fails the name() check
+            out.exchanges = val[0] == '1';
+            out.earlyExits = val.size() > 1 && val[1] == '1';
             break;
-          }
           case 'g': {
             const auto parts = split(val, 'x');
-            ok = mark(8) && parts.size() == 3 &&
-                 parseU32(parts[0], out.ctas) &&
-                 parseU32(parts[1], out.threadsPerCta) &&
-                 parseU32(parts[2], out.concCtasPerSm);
+            ok = parts.size() == 3 &&
+                 parseCanonical(parts[0], out.ctas) &&
+                 parseCanonical(parts[1], out.threadsPerCta) &&
+                 parseCanonical(parts[2], out.concCtasPerSm);
             break;
           }
-          case 'p': {
-            for (const std::string &id : split(val, '.')) {
-                u32 v = 0;
-                if (!parseU32(id, v)) {
-                    ok = false;
-                    break;
-                }
-                out.prune.push_back(v);
-            }
+          case 'p':
+            for (const std::string &id : split(val, '.'))
+                ok = ok && parseCanonical(id, out.prune.emplace_back());
             break;
-          }
           default:
             ok = false;
             break;
@@ -170,14 +116,19 @@ GenSpec::parse(const std::string &name, GenSpec &spec, std::string &error)
             return false;
         }
     }
-    if (seen != 0x1ff) {
-        error = "gen name missing required fields: " + name;
-        return false;
-    }
     try {
         out.validate();
     } catch (const ConfigError &e) {
         error = e.what();
+        return false;
+    }
+    // One spelling per spec: routing hashes the request string while
+    // the result key hashes name(), so an alias (a missing, repeated or
+    // reordered field, a leading zero, an unsorted prune list) would
+    // put one result at two ring positions.
+    if (out.name() != name) {
+        error = "gen name is not canonical (expected " + out.name() +
+                "): " + name;
         return false;
     }
     spec = std::move(out);

@@ -77,8 +77,11 @@ struct GenSpec {
 
     /**
      * Parse a canonical name.  Returns false with @p error set on
-     * anything malformed (wrong prefix, unknown field, missing field,
-     * unparsable number) — never a silent default.
+     * anything malformed (wrong prefix, unknown field, unparsable
+     * number, impossible knobs) and on any name other than name() of
+     * the spec it reads (a missing, repeated or reordered field, a
+     * leading zero, an unsorted or duplicate prune list) — never a
+     * silent default, never an alias.
      */
     static bool parse(const std::string &name, GenSpec &spec,
                       std::string &error);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/decimal.h"
 #include "common/error.h"
 
 namespace rfv {
@@ -15,25 +16,15 @@ parseEndpoint(const std::string &text, RingNode &out, std::string &error)
         error = "endpoint is not host:port: '" + text + "'";
         return false;
     }
-    u64 port = 0;
-    for (size_t i = colon + 1; i < text.size(); ++i) {
-        const char c = text[i];
-        if (c < '0' || c > '9') {
-            error = "endpoint port is not a number: '" + text + "'";
-            return false;
-        }
-        port = port * 10 + static_cast<u64>(c - '0');
-        if (port > 65535) {
-            error = "endpoint port out of range: '" + text + "'";
-            return false;
-        }
-    }
-    if (port == 0) {
-        error = "endpoint port must be nonzero: '" + text + "'";
+    u16 port = 0;
+    if (!parseCanonical(std::string_view(text).substr(colon + 1), port) ||
+        port == 0) {
+        error = "endpoint port is not a decimal in [1, 65535]: '" + text +
+                "'";
         return false;
     }
     out.host = text.substr(0, colon);
-    out.port = static_cast<u16>(port);
+    out.port = port;
     return true;
 }
 

@@ -1,12 +1,36 @@
 #include "net/protocol.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 
+#include "common/decimal.h"
 #include "service/result_cache.h"
 #include "service/version.h"
 
 namespace rfv {
+
+namespace {
+
+/**
+ * RESULT `seconds` exactly as encodeResult writes it: a finite,
+ * non-negative double whose std::to_string is @p text itself.
+ */
+bool
+parseSeconds(const std::string &text, double &out)
+{
+    double v = 0;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc() || end != last || !std::isfinite(v) ||
+        std::signbit(v) || std::to_string(v) != text)
+        return false;
+    out = v;
+    return true;
+}
+
+} // namespace
 
 const std::string *
 Message::find(const std::string &key) const
@@ -28,40 +52,21 @@ bool
 Message::getU64(const std::string &key, u64 &out) const
 {
     const std::string *v = find(key);
-    if (!v || v->empty())
-        return false;
-    u64 x = 0;
-    for (char c : *v) {
-        if (c < '0' || c > '9')
-            return false;
-        const u64 next = x * 10 + static_cast<u64>(c - '0');
-        if (next < x)
-            return false;
-        x = next;
-    }
-    out = x;
-    return true;
+    return v && parseCanonical(*v, out);
 }
 
 bool
 Message::getI64(const std::string &key, i64 &out) const
 {
     const std::string *v = find(key);
-    if (!v || v->empty())
+    if (!v)
         return false;
-    const bool neg = (*v)[0] == '-';
-    u64 mag = 0;
-    const std::string digits = neg ? v->substr(1) : *v;
-    if (digits.empty())
+    const bool neg = v->starts_with('-');
+    const std::optional<u64> mag =
+        parseCanonicalU64(std::string_view(*v).substr(neg), 1ull << 62);
+    if (!mag || (neg && *mag == 0))
         return false;
-    for (char c : digits) {
-        if (c < '0' || c > '9')
-            return false;
-        mag = mag * 10 + static_cast<u64>(c - '0');
-        if (mag > (1ull << 62))
-            return false;
-    }
-    out = neg ? -static_cast<i64>(mag) : static_cast<i64>(mag);
+    out = neg ? -static_cast<i64>(*mag) : static_cast<i64>(*mag);
     return true;
 }
 
@@ -398,10 +403,11 @@ decodeResult(const Message &msg, SweepJobResult &res, std::string &error)
     res.error = msg.get("error");
     res.fromCache = msg.get("from_cache") == "1";
     res.key = msg.get("key");
-    try {
-        res.seconds = std::stod(msg.get("seconds", "0"));
-    } catch (const std::exception &) {
-        res.seconds = 0;
+    if (!parseSeconds(msg.get("seconds"), res.seconds)) {
+        error = "RESULT with unparsable seconds '" + msg.get("seconds") +
+                "'";
+        res.status = ServiceStatus::kBadRequest;
+        return res.status;
     }
     if (s == ServiceStatus::kOk) {
         if (msg.blob.empty()) {

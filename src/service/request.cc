@@ -3,6 +3,7 @@
 #include <istream>
 #include <sstream>
 
+#include "common/decimal.h"
 #include "service/sweep.h"
 
 namespace rfv {
@@ -45,23 +46,6 @@ runConfigNames()
 namespace {
 
 bool
-parseU32(const std::string &v, u32 &out)
-{
-    if (v.empty())
-        return false;
-    u64 x = 0;
-    for (char c : v) {
-        if (c < '0' || c > '9')
-            return false;
-        x = x * 10 + static_cast<u64>(c - '0');
-        if (x > 0xffffffffull)
-            return false;
-    }
-    out = static_cast<u32>(x);
-    return true;
-}
-
-bool
 parseBool(const std::string &v, bool &out)
 {
     if (v == "1" || v == "true") {
@@ -83,17 +67,17 @@ applyConfigOverride(RunConfig &cfg, const std::string &key,
 {
     bool parsed = false;
     if (key == "numSms")
-        parsed = parseU32(value, cfg.numSms);
+        parsed = parseCanonical(value, cfg.numSms);
     else if (key == "roundsPerSm")
-        parsed = parseU32(value, cfg.roundsPerSm);
+        parsed = parseCanonical(value, cfg.roundsPerSm);
     else if (key == "rfSizeBytes")
-        parsed = parseU32(value, cfg.rfSizeBytes);
+        parsed = parseCanonical(value, cfg.rfSizeBytes);
     else if (key == "wakeupLatency")
-        parsed = parseU32(value, cfg.wakeupLatency);
+        parsed = parseCanonical(value, cfg.wakeupLatency);
     else if (key == "flagCacheEntries")
-        parsed = parseU32(value, cfg.flagCacheEntries);
+        parsed = parseCanonical(value, cfg.flagCacheEntries);
     else if (key == "renamingTableBytes")
-        parsed = parseU32(value, cfg.renamingTableBytes);
+        parsed = parseCanonical(value, cfg.renamingTableBytes);
     else if (key == "powerGating")
         parsed = parseBool(value, cfg.powerGating);
     else if (key == "aggressiveDiverged")

@@ -14,6 +14,8 @@
 #include <type_traits>
 #include <unistd.h>
 
+#include "common/decimal.h"
+
 namespace rfv {
 
 namespace {
@@ -154,17 +156,14 @@ class Reader {
         return rest;
     }
 
-    /** Decimal digits, no sign, no leading zero, at most @p max. */
+    /** A canonical decimal of at most @p max. */
     static u64
     number(std::string_view text, u64 max, const char *key)
     {
-        const char *last = text.data() + text.size();
-        u64 v = 0;
-        const auto [end, ec] = std::from_chars(text.data(), last, v);
-        if (ec != std::errc() || end != last || v > max ||
-            (text.size() > 1 && text[0] == '0'))
+        const std::optional<u64> v = parseCanonicalU64(text, max);
+        if (!v)
             bad(key);
-        return v;
+        return *v;
     }
 
     [[noreturn]] static void

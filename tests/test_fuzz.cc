@@ -97,6 +97,10 @@ TEST(Corpus, ParseRoundTripAndErrors)
         "oracle=selfcheck expect=maybe",                   // bad expect
         "spec=gen:s1:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4 config=c "
         "oracle=mutation expect=caught mutation=12x",      // bad index
+        "spec=gen:s1:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4 config=c "
+        "oracle=mutation expect=caught mutation=",         // no digits
+        "spec=gen:s1:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4 config=c "
+        "oracle=mutation expect=caught mutation=4294967296", // > u32
         "notakeyvalue",                                    // no '='
     };
     for (const char *line : bad) {

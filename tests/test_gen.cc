@@ -70,6 +70,13 @@ TEST(GenSpec, ParseRejectsMalformed)
         good + ":s9",                     // duplicate field
         good + ":q5",                     // unknown field
         "gen:sxyz:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4", // bad number
+        // Aliases of a valid spec: only name() itself is accepted, so
+        // one kernel has one routing key and one result key.
+        "gen:s05:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4",  // leading zero
+        "gen:d2:s5:b8:r16:l4:w2.3.3:a0:x01:g8x64x4",   // reordered
+        "gen:s5:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4:p17.3", // unsorted
+        "gen:s5:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4:p3.3",  // duplicate
+        "gen:s5:d2:b8:r16:l4:w02.3.3:a0:x01:g8x64x4",  // padded weight
     };
     for (const std::string &name : bad) {
         GenSpec spec;

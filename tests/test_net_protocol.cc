@@ -5,14 +5,19 @@
  * codec (ordering, repeated keys, binary blobs, structural garbage),
  * the HELLO/WELCOME version negotiation, the RUN/RESULT typed codecs
  * — including bit-exact RunOutcome transport through the ResultCache
- * serialization — and the client backoff schedule.
+ * serialization — a mutation table over every untrusted decimal field
+ * (wire, `set=`, manifest and `gen:` name) and the client backoff
+ * schedule.
  */
 #include <algorithm>
+#include <functional>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/framing.h"
+#include "gen/gen_spec.h"
 #include "net/client.h"
 #include "net/cluster_ring.h"
 #include "net/protocol.h"
@@ -319,6 +324,31 @@ TEST(ResultCodec, CorruptBlobIsBadRequestNotACrash)
     EXPECT_FALSE(error.empty());
 }
 
+TEST(ResultCodec, SecondsAcceptsOnlyTheWritersForm)
+{
+    SweepJobResult res;
+    res.status = ServiceStatus::kRetryLater;
+    res.seconds = 0.25;
+    const Message good = encodeResult(res);
+    ASSERT_EQ(good.get("seconds"), "0.250000");
+    SweepJobResult out;
+    std::string error;
+    EXPECT_EQ(decodeResult(good, out, error), ServiceStatus::kRetryLater);
+    EXPECT_EQ(out.seconds, 0.25);
+
+    for (const char *bad : {"", "abc", "-1.000000", "nan", "inf", "1e999",
+                            "-0.000000", "0.25", "0.250000 ", "+0.250000"}) {
+        Message wire = good;
+        for (auto &[k, v] : wire.fields)
+            if (k == "seconds")
+                v = bad;
+        error.clear();
+        EXPECT_EQ(decodeResult(wire, out, error), ServiceStatus::kBadRequest)
+            << "'" << bad << "'";
+        EXPECT_NE(error.find("seconds"), std::string::npos) << error;
+    }
+}
+
 // ---- status taxonomy ----------------------------------------------------
 
 TEST(Status, NamesRoundTrip)
@@ -592,6 +622,159 @@ TEST(StoreCodec, MissingKeyOrBlobIsRejected)
     Message noBlob = encodeStoreRequest(req, "aa", "");
     EXPECT_EQ(decodeStoreRequest(noBlob, out, outKey, error),
               ServiceStatus::kBadRequest);
+}
+
+// ---- untrusted decimals --------------------------------------------------
+
+/**
+ * One untrusted decimal field.  @p decode feeds it a value through the
+ * real entry point and returns the structured error ("" = accepted).
+ */
+struct DecimalField {
+    std::string name;
+    std::vector<std::string> accepted; //!< canonical spellings
+    std::string overMax;               //!< the field's max + 1
+    std::function<std::string(const std::string &)> decode;
+};
+
+/** The HELLO with @p key set to the value under test. */
+DecimalField
+helloField(const std::string &key, const std::string &canonical)
+{
+    return {"HELLO " + key, {canonical}, "18446744073709551616",
+            [key](const std::string &value) {
+                Message hello = makeHello();
+                for (auto &[k, v] : hello.fields)
+                    if (k == key)
+                        v = value;
+                bool ok = false;
+                const Message welcome = makeWelcome(hello, ok);
+                return ok ? std::string() : welcome.get("status") + ": " +
+                                                welcome.get("error");
+            }};
+}
+
+/** A RUN for BFS carrying @p key = the value under test. */
+DecimalField
+runField(const std::string &key, std::vector<std::string> accepted,
+         const std::string &overMax)
+{
+    return {"RUN " + key, std::move(accepted), overMax,
+            [key](const std::string &value) {
+                ServiceRequest req;
+                req.workload = "BFS";
+                Message run = encodeRunRequest(req);
+                run.add(key, value);
+                std::string error;
+                return decodeRunRequest(run, req, error) ==
+                               ServiceStatus::kOk
+                           ? std::string()
+                           : error;
+            }};
+}
+
+/** The CLUSTER reply with its first @p key set to @p prefix + value. */
+DecimalField
+clusterField(const std::string &key, const std::string &prefix,
+             const std::string &canonical, const std::string &overMax)
+{
+    return {"CLUSTER " + key, {canonical}, overMax,
+            [key, prefix](const std::string &value) {
+                Message msg = encodeClusterInfo(testRing(), "10.0.0.2:7002");
+                for (auto &[k, v] : msg.fields)
+                    if (k == key) {
+                        v = prefix + value;
+                        break;
+                    }
+                HashRing ring;
+                std::string self, error;
+                return decodeClusterInfo(msg, ring, self, error) ? ""
+                                                                 : error;
+            }};
+}
+
+/** A gen: name whose '@' is the value under test. */
+DecimalField
+genField(const std::string &pattern, const std::string &canonical,
+         const std::string &overMax)
+{
+    return {"gen " + pattern, {canonical}, overMax,
+            [pattern](const std::string &value) {
+                std::string name = pattern;
+                name.replace(name.find('@'), 1, value);
+                GenSpec spec;
+                std::string error;
+                return GenSpec::parse(name, spec, error) ? "" : error;
+            }};
+}
+
+TEST(UntrustedDecimals, EveryEntryPointRejectsEveryMutation)
+{
+    const std::string u32Over = "4294967296";
+    const std::string u64Over = "18446744073709551616";
+    const std::string genTail = ":d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4:p3.17";
+    const std::vector<DecimalField> fields = {
+        helloField("proto_min", "1"),
+        helloField("proto_max", "2"),
+        runField("ring_epoch", {"7"}, u64Over),
+        // Signed: a canonical negative is a value, not a mutation.
+        runField("deadline_ms", {"2500", "-1", "0"}, "4611686018427387905"),
+        clusterField("ring_epoch", "", "7", u64Over),
+        clusterField("replication", "", "2", u32Over),
+        clusterField("vnodes", "", "64", "4097"),
+        clusterField("node", "10.0.0.1:", "7001", "65536"),
+        {"set= numSms", {"4"}, u32Over,
+         [](const std::string &value) {
+             RunConfig cfg = RunConfig::baseline();
+             std::string error;
+             return applyConfigOverride(cfg, "numSms", value, error) ==
+                            ServiceStatus::kOk
+                        ? ""
+                        : error;
+         }},
+        // Whitespace separates manifest tokens, so "1 " is just "1".
+        {"manifest numSms", {"4", "1 "}, u32Over,
+         [](const std::string &value) {
+             std::istringstream in("BFS baseline numSms=" + value + "\n");
+             const std::vector<ManifestEntry> entries =
+                 parseManifest(in, "m.txt");
+             return entries.size() == 1 &&
+                            entries[0].status == ServiceStatus::kOk
+                        ? ""
+                        : entries.at(0).error;
+         }},
+        genField("gen:s@" + genTail, "5", u64Over),
+        genField("gen:s5:d@:b8:r16:l4:w2.3.3:a0:x01:g8x64x4", "2", u32Over),
+        genField("gen:s5:d2:b@:r16:l4:w2.3.3:a0:x01:g8x64x4", "8", u32Over),
+        genField("gen:s5:d2:b8:r@:l4:w2.3.3:a0:x01:g8x64x4", "16", u32Over),
+        genField("gen:s5:d2:b8:r16:l@:w2.3.3:a0:x01:g8x64x4", "4", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w@.3.3:a0:x01:g8x64x4", "2", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w2.@.3:a0:x01:g8x64x4", "3", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w2.3.@:a0:x01:g8x64x4", "3", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w2.3.3:a@:x01:g8x64x4", "0", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w2.3.3:a0:x01:g@x64x4", "8", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w2.3.3:a0:x01:g8x@x4", "64", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x@", "4", u32Over),
+        genField("gen:s5:d2:b8:r16:l4:w2.3.3:a0:x01:g8x64x4:p@.17", "3",
+                 u32Over),
+    };
+    const std::vector<std::string> mutations = {
+        "",    "-1",  "+1",  "01", "1 ", "0x1", u64Over,
+        "30000000000000000000",
+    };
+    for (const DecimalField &f : fields) {
+        for (const std::string &value : f.accepted)
+            EXPECT_EQ(f.decode(value), "") << f.name << " '" << value << "'";
+        std::vector<std::string> bad = mutations;
+        bad.push_back(f.overMax);
+        for (const std::string &value : bad) {
+            if (std::find(f.accepted.begin(), f.accepted.end(), value) !=
+                f.accepted.end())
+                continue;
+            EXPECT_NE(f.decode(value), "")
+                << f.name << " accepted '" << value << "'";
+        }
+    }
 }
 
 // ---- client backoff schedule --------------------------------------------
