@@ -198,26 +198,22 @@ main(int argc, char **argv)
         }
     }
 
-    // The same 48-job manifest sweep_throughput uses, expressed as
-    // wire requests (the coordinator resolves configs itself).
+    // The `--default` 48-job manifest, expressed as wire requests (the
+    // coordinator resolves configs itself).
     std::vector<ServiceRequest> requests;
     std::vector<SweepJob> manifest;
-    for (const char *configName :
-         {"baseline", "virtualized", "shrink50"}) {
-        for (const auto &w : allWorkloads()) {
-            ServiceRequest req;
-            req.workload = w->name();
-            req.configName = configName;
-            req.overrides = {
-                {"numSms", std::to_string(sms)},
-                {"roundsPerSm", std::to_string(rounds)}};
-            SweepJob job;
-            std::string error;
-            panicIf(buildJob(req, job, error) != ServiceStatus::kOk,
-                    "manifest job failed to resolve: " + error);
-            requests.push_back(std::move(req));
-            manifest.push_back(std::move(job));
-        }
+    for (const ManifestEntry &e : defaultManifest()) {
+        ServiceRequest req;
+        req.workload = e.workload;
+        req.configName = e.configName;
+        req.overrides = {{"numSms", std::to_string(sms)},
+                         {"roundsPerSm", std::to_string(rounds)}};
+        SweepJob job;
+        std::string error;
+        panicIf(buildJob(req, job, error) != ServiceStatus::kOk,
+                "manifest job failed to resolve: " + error);
+        requests.push_back(std::move(req));
+        manifest.push_back(std::move(job));
     }
 
     std::cout << "cluster scaling: " << requests.size() << " jobs, "

@@ -5,9 +5,15 @@
  * with the ISA and the virtualization machinery without writing C++.
  *
  * Usage:
- *   run_asm <kernel.asm> [--config=baseline|virtualized|shrink50|
- *                                  spill50|hwonly]
- *           [--ctas=N] [--threads=N] [--sms=N] [--dump-memory=N]
+ *   run_asm <kernel.asm> [--config=NAME] [--ctas=N] [--threads=N]
+ *           [--sms=N] [--dump-memory=N]
+ *
+ * --config names an entry of the shared config table (runConfigByName;
+ * default virtualized): baseline, virtualized, virtualized-gating,
+ * shrink25, shrink50, shrink50-gating, spill50, hwonly, hwonly-gating.
+ * The `-gating` names add power gating.  Numeric flags must be
+ * canonical decimals; anything else prints `unparsable value in
+ * <flag>` and exits 2.
  *
  * The kernel gets 1 MB of zero-initialized global memory; use
  * --dump-memory=N to print the first N words after the run.
@@ -16,9 +22,11 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/decimal.h"
 #include "common/table.h"
 #include "core/simulator.h"
 #include "isa/assembler.h"
+#include "service/request.h"
 
 using namespace rfv;
 
@@ -35,18 +43,23 @@ main(int argc, char **argv)
     u32 ctas = 4, threads = 128, sms = 1, dumpWords = 0;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--config=", 0) == 0)
             configName = arg.substr(9);
         else if (arg.rfind("--ctas=", 0) == 0)
-            ctas = static_cast<u32>(std::stoul(arg.substr(7)));
+            ok = parseCanonical(arg.substr(7), ctas);
         else if (arg.rfind("--threads=", 0) == 0)
-            threads = static_cast<u32>(std::stoul(arg.substr(10)));
+            ok = parseCanonical(arg.substr(10), threads);
         else if (arg.rfind("--sms=", 0) == 0)
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseCanonical(arg.substr(6), sms);
         else if (arg.rfind("--dump-memory=", 0) == 0)
-            dumpWords = static_cast<u32>(std::stoul(arg.substr(14)));
+            ok = parseCanonical(arg.substr(14), dumpWords);
         else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }
@@ -60,17 +73,7 @@ main(int argc, char **argv)
     ss << in.rdbuf();
 
     RunConfig cfg;
-    if (configName == "baseline")
-        cfg = RunConfig::baseline();
-    else if (configName == "virtualized")
-        cfg = RunConfig::virtualized(true);
-    else if (configName == "shrink50")
-        cfg = RunConfig::gpuShrink(50, true);
-    else if (configName == "spill50")
-        cfg = RunConfig::compilerSpillShrink(50);
-    else if (configName == "hwonly")
-        cfg = RunConfig::hardwareOnly(true);
-    else {
+    if (!runConfigByName(configName, cfg)) {
         std::cerr << "unknown config " << configName << "\n";
         return 2;
     }

@@ -17,6 +17,9 @@
  * the delta-debugging minimizer and printed as regression-corpus
  * lines (appended to --save when given).  Exit 1 on any failure.
  *
+ * --jobs is at most 256; a numeric flag that is not a canonical decimal
+ * in range prints `unparsable value in <flag>` and exits 2.
+ *
  * Corpus mode replays a committed corpus file: `pass` entries must
  * pass every oracle, `caught` entries' injected faults must still be
  * detected.  Exit 1 on any regression.
@@ -29,6 +32,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli.h"
 #include "gen/fuzz.h"
 
 using namespace rfv;
@@ -89,23 +93,23 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--scenarios=", 0) == 0)
-            opts.scenarios = std::stoull(arg.substr(12));
+            ok = parseCanonical(arg.substr(12), opts.scenarios);
         else if (arg.rfind("--seed=", 0) == 0)
-            opts.seed = std::stoull(arg.substr(7));
+            ok = parseCanonical(arg.substr(7), opts.seed);
         else if (arg.rfind("--jobs=", 0) == 0)
-            opts.jobs = static_cast<u32>(std::stoul(arg.substr(7)));
+            ok = parseCanonical(arg.substr(7), opts.jobs, kMaxWorkers);
         else if (arg.rfind("--cache-dir=", 0) == 0)
             opts.cacheDir = arg.substr(12);
         else if (arg == "--no-cache")
             opts.useCache = false;
         else if (arg.rfind("--mutate-every=", 0) == 0)
-            opts.mutateEvery = std::stoull(arg.substr(15));
+            ok = parseCanonical(arg.substr(15), opts.mutateEvery);
         else if (arg == "--no-minimize")
             opts.minimize = false;
         else if (arg.rfind("--minimize-budget=", 0) == 0)
-            opts.minimizeBudget =
-                static_cast<u32>(std::stoul(arg.substr(18)));
+            ok = parseCanonical(arg.substr(18), opts.minimizeBudget);
         else if (arg.rfind("--corpus=", 0) == 0)
             corpusPath = arg.substr(9);
         else if (arg.rfind("--save=", 0) == 0)
@@ -114,6 +118,10 @@ main(int argc, char **argv)
             quiet = true;
         else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }

@@ -5,10 +5,16 @@
  * the everyday driver a downstream user scripts sweeps with.
  *
  * Usage:
- *   run_workload <workload|all> [--config=baseline|virtualized|
- *                                         shrink50|spill50|hwonly]
- *                [--sms=N] [--rounds=N] [--gating] [--csv] [--verify]
- *                [--loop=event|naive] [--progress] [--profile]
+ *   run_workload <workload|all> [--config=NAME] [--sms=N] [--rounds=N]
+ *                [--csv] [--verify] [--loop=event|naive] [--progress]
+ *                [--profile]
+ *
+ * --config names an entry of the shared config table (runConfigByName;
+ * default virtualized): baseline, virtualized, virtualized-gating,
+ * shrink25, shrink50, shrink50-gating, spill50, hwonly, hwonly-gating.
+ * The `-gating` names add power gating.  --sms and --rounds must be
+ * canonical decimals; anything else prints `unparsable value in
+ * <flag>` and exits 2.
  *
  * --verify runs the static release-flag soundness verifier on each
  * compiled kernel and enables the runtime register-lifecycle lint;
@@ -24,14 +30,16 @@
  * time) so loop-speed changes are attributable to a phase.
  *
  * Examples:
- *   run_workload MatrixMul --config=shrink50 --gating
+ *   run_workload MatrixMul --config=shrink50-gating
  *   run_workload all --config=virtualized --csv > sweep.csv
  *   run_workload all --config=virtualized --verify
  *   run_workload BFS --config=baseline --progress
  */
 #include <iostream>
 
+#include "common/decimal.h"
 #include "core/report.h"
+#include "service/request.h"
 #include "sim/loop_profiler.h"
 
 using namespace rfv;
@@ -42,7 +50,7 @@ main(int argc, char **argv)
     if (argc < 2) {
         std::cerr << "usage: run_workload <workload|all> "
                      "[--config=...] [--sms=N] [--rounds=N] "
-                     "[--gating] [--csv]\n       workloads:";
+                     "[--csv]\n       workloads:";
         for (const auto &w : allWorkloads())
             std::cerr << " " << w->name();
         std::cerr << "\n";
@@ -52,20 +60,18 @@ main(int argc, char **argv)
     std::string configName = "virtualized";
     std::string loopName = "event";
     u32 sms = 4, rounds = 3;
-    bool gating = false, csv = false, verify = false, progress = false;
-    bool profile = false;
+    bool csv = false, verify = false, progress = false, profile = false;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg.rfind("--config=", 0) == 0)
             configName = arg.substr(9);
         else if (arg.rfind("--sms=", 0) == 0)
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseCanonical(arg.substr(6), sms);
         else if (arg.rfind("--rounds=", 0) == 0)
-            rounds = static_cast<u32>(std::stoul(arg.substr(9)));
+            ok = parseCanonical(arg.substr(9), rounds);
         else if (arg.rfind("--loop=", 0) == 0)
             loopName = arg.substr(7);
-        else if (arg == "--gating")
-            gating = true;
         else if (arg == "--csv")
             csv = true;
         else if (arg == "--verify")
@@ -78,6 +84,10 @@ main(int argc, char **argv)
             std::cerr << "unknown option " << arg << "\n";
             return 2;
         }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
+            return 2;
+        }
     }
     if (loopName != "event" && loopName != "naive") {
         std::cerr << "unknown loop " << loopName
@@ -86,17 +96,7 @@ main(int argc, char **argv)
     }
 
     RunConfig cfg;
-    if (configName == "baseline")
-        cfg = RunConfig::baseline();
-    else if (configName == "virtualized")
-        cfg = RunConfig::virtualized(gating);
-    else if (configName == "shrink50")
-        cfg = RunConfig::gpuShrink(50, gating);
-    else if (configName == "spill50")
-        cfg = RunConfig::compilerSpillShrink(50);
-    else if (configName == "hwonly")
-        cfg = RunConfig::hardwareOnly(gating);
-    else {
+    if (!runConfigByName(configName, cfg)) {
         std::cerr << "unknown config " << configName << "\n";
         return 2;
     }
@@ -105,15 +105,11 @@ main(int argc, char **argv)
     cfg.verifyReleases = verify;
     cfg.eventDriven = loopName == "event";
 
-    std::vector<std::shared_ptr<Workload>> targets;
-    if (target == "all") {
-        targets = allWorkloads();
-    } else {
-        targets.push_back(findWorkload(target));
-    }
-
     bool verifyFailed = false;
     try {
+        const std::vector<std::shared_ptr<Workload>> targets =
+            target == "all" ? allWorkloads()
+                            : std::vector{findWorkload(target)};
         Simulator sim(cfg);
         if (csv)
             std::cout << csvHeader() << "\n";

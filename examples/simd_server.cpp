@@ -12,7 +12,8 @@
  *
  * --port=N            TCP port on 127.0.0.1 (default 0 = ephemeral;
  *                     the bound port is printed on startup).
- * --executors=N       simulation worker threads (default 1).
+ * --executors=N       simulation worker threads (default 1, at most
+ *                     256).
  * --queue=N           admission-queue capacity; requests beyond it are
  *                     shed with RETRY_LATER (default 16).
  * --max-conns=N       concurrent connection cap (default 64).
@@ -50,7 +51,7 @@
 #include <iostream>
 #include <thread>
 
-#include "common/decimal.h"
+#include "cli.h"
 #include "net/server.h"
 
 using namespace rfv;
@@ -80,7 +81,7 @@ main(int argc, char **argv)
         if (arg.rfind("--port=", 0) == 0)
             ok = parseCanonical(arg.substr(7), opts.port);
         else if (arg.rfind("--executors=", 0) == 0)
-            ok = parseCanonical(arg.substr(12), opts.executors);
+            ok = parseCanonical(arg.substr(12), opts.executors, kMaxWorkers);
         else if (arg.rfind("--queue=", 0) == 0)
             ok = parseCanonical(arg.substr(8), opts.queueCapacity);
         else if (arg.rfind("--max-conns=", 0) == 0)

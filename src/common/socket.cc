@@ -1,5 +1,6 @@
 #include "common/socket.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
@@ -74,7 +75,7 @@ deadlineAfterMs(i64 ms)
     if (ms < 0)
         return std::nullopt;
     return std::chrono::steady_clock::now() +
-           std::chrono::milliseconds(ms);
+           std::chrono::milliseconds(std::min(ms, kMaxDeadlineMs));
 }
 
 Socket::~Socket() { close(); }

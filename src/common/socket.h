@@ -25,7 +25,13 @@ namespace rfv {
 using IoDeadline =
     std::optional<std::chrono::steady_clock::time_point>;
 
-/** Deadline @p ms milliseconds from now. */
+/**
+ * Ceiling of deadlineAfterMs (7 days): a peer's `deadline_ms` of up to
+ * 2^62 must overflow neither the clock nor a poll budget's int.
+ */
+constexpr i64 kMaxDeadlineMs = 7ll * 24 * 3600 * 1000;
+
+/** Deadline @p ms from now, saturated at kMaxDeadlineMs; < 0 = none. */
 IoDeadline deadlineAfterMs(i64 ms);
 
 /** Outcome of a byte-level I/O step. */

@@ -27,6 +27,8 @@ runConfigByName(const std::string &name, RunConfig &cfg)
         cfg = RunConfig::compilerSpillShrink(50);
     else if (name == "hwonly")
         cfg = RunConfig::hardwareOnly();
+    else if (name == "hwonly-gating")
+        cfg = RunConfig::hardwareOnly(true);
     else
         return false;
     return true;
@@ -38,7 +40,7 @@ runConfigNames()
     static const std::vector<std::string> names = {
         "baseline",        "virtualized", "virtualized-gating",
         "shrink25",        "shrink50",    "shrink50-gating",
-        "spill50",         "hwonly",
+        "spill50",         "hwonly",      "hwonly-gating",
     };
     return names;
 }
@@ -180,6 +182,23 @@ parseManifest(std::istream &in, const std::string &name)
             e.overrides.emplace_back(key, value);
         }
         entries.push_back(std::move(e));
+    }
+    return entries;
+}
+
+std::vector<ManifestEntry>
+defaultManifest()
+{
+    std::vector<ManifestEntry> entries;
+    for (const char *name : {"baseline", "virtualized", "shrink50"}) {
+        for (const auto &w : allWorkloads()) {
+            ManifestEntry e;
+            e.workload = w->name();
+            e.configName = name;
+            e.source = "--default";
+            runConfigByName(name, e.config);
+            entries.push_back(std::move(e));
+        }
     }
     return entries;
 }

@@ -1,14 +1,15 @@
 /**
  * @file
  * Request layer of the simulation service: the shared vocabulary by
- * which any front-end — the `run_sweep` CLI, the `simd` daemon, a
- * test — names a job.
+ * which any front-end — the example CLIs, the `simd` daemon, a test —
+ * names a job.
  *
  * A job is (workload name, base config name, key=value overrides,
  * optional deadline).  This file owns:
  *
- *  - the named-config registry (baseline, virtualized, shrink50, …)
- *    formerly private to run_sweep,
+ *  - the one named-config registry (baseline, virtualized, shrink50,
+ *    …; the `-gating` names add power gating) every driver resolves
+ *    `--config` through, and the `--default` manifest,
  *  - the override parser mapping "numSms=2" onto RunConfig fields
  *    with strict validation (unknown key / unparsable value =
  *    kBadConfig, never a silent default),
@@ -98,6 +99,13 @@ struct ManifestEntry {
  */
 std::vector<ManifestEntry> parseManifest(std::istream &in,
                                          const std::string &name);
+
+/**
+ * The `--default` manifest of the sweep drivers: every Table-1
+ * workload under baseline, virtualized and shrink50 (48 entries,
+ * configs resolved, no overrides).
+ */
+std::vector<ManifestEntry> defaultManifest();
 
 } // namespace rfv
 

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
+#include "core/report.h"
 #include "core/simulator.h"
 #include "service/version.h"
 #include "sim/gpu.h"
@@ -32,6 +33,16 @@ cacheOptions(const SweepOptions &opts)
 }
 
 } // namespace
+
+void
+writeSweepCsv(std::ostream &os, const std::vector<SweepJobResult> &results)
+{
+    os << csvHeader() << ",from_cache,seconds\n";
+    for (const SweepJobResult &r : results)
+        if (r.ok())
+            os << csvRow(r.outcome) << "," << (r.fromCache ? 1 : 0) << ","
+               << r.seconds << "\n";
+}
 
 std::string
 SweepStats::summary() const

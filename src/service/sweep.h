@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,6 +58,15 @@ struct SweepJobResult {
 
     bool ok() const { return status == ServiceStatus::kOk; }
 };
+
+/**
+ * The sweep CSV every sweep driver writes: csvHeader() plus
+ * `from_cache,seconds`, one row per ok() result in @p results order.
+ * Only those last two columns depend on the transport, so local,
+ * served and routed sweeps diff bit-for-bit once they are stripped.
+ */
+void writeSweepCsv(std::ostream &os,
+                   const std::vector<SweepJobResult> &results);
 
 /** Engine-level counters for one run() call. */
 struct SweepStats {

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "common/framing.h"
+#include "common/socket.h"
 #include "common/sync.h"
 #include "core/simulator.h"
 #include "net/client.h"
@@ -334,6 +335,31 @@ TEST(SimdService, DeadlineExpiryAnswersDeadlineExceeded)
     cv.notifyAll();
     t.join();
     EXPECT_GE(counter(server, "requests_timed_out"), 1u);
+    server.stop();
+}
+
+TEST(SimdService, HugeDeadlineSaturatesInsteadOfOverflowing)
+{
+    // The RUN codec accepts deadline_ms up to 2^62; turned into a
+    // nanosecond time point unclamped, it overflows the clock (a
+    // wrapped deadline of "now" that expires at once).
+    const i64 huge = 1ll << 62;
+    const auto before = std::chrono::steady_clock::now();
+    const IoDeadline dl = deadlineAfterMs(huge);
+    ASSERT_TRUE(dl.has_value());
+    EXPECT_GT(*dl, before + std::chrono::hours(24));
+
+    ServerOptions sopts;
+    sopts.sweep.useCache = false;
+    SimdServer server(sopts);
+    server.start();
+    ServiceRequest req = smallRequest();
+    req.deadlineMs = huge; // deadline_ms=4611686018427387904 on the wire
+    SimdClient client(clientFor(server));
+    SweepJobResult res;
+    std::string error;
+    EXPECT_EQ(client.run(req, res, error), ServiceStatus::kOk) << error;
+    EXPECT_EQ(counter(server, "requests_timed_out"), 0u);
     server.stop();
 }
 
