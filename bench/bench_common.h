@@ -16,6 +16,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/decimal.h"
 #include "core/simulator.h"
 
 namespace rfv {
@@ -30,12 +31,11 @@ struct BenchArgs {
         BenchArgs args;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
+            bool ok = true;
             if (arg.rfind("--sms=", 0) == 0) {
-                args.numSms = static_cast<u32>(
-                    std::stoul(arg.substr(6)));
+                ok = parseCanonical(arg.substr(6), args.numSms);
             } else if (arg.rfind("--rounds=", 0) == 0) {
-                args.rounds = static_cast<u32>(
-                    std::stoul(arg.substr(9)));
+                ok = parseCanonical(arg.substr(9), args.rounds);
             } else if (arg == "--full") {
                 args.rounds = 0;
             } else if (arg == "--help" || arg == "-h") {
@@ -43,6 +43,10 @@ struct BenchArgs {
                 std::exit(0);
             } else {
                 std::cerr << "unknown option: " << arg << "\n";
+                std::exit(2);
+            }
+            if (!ok) {
+                std::cerr << "unparsable value in " << arg << "\n";
                 std::exit(2);
             }
         }

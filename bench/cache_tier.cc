@@ -39,6 +39,7 @@
 
 #include "common/error.h"
 #include "common/sync.h"
+#include "examples/cli.h"
 #include "service/result_cache.h"
 #include "service/version.h"
 
@@ -228,16 +229,17 @@ main(int argc, char **argv)
     std::string check_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--quick") {
             // The hit phase is microseconds of work either way; only
             // the contended phase (real file I/O) needs shrinking.
             contOps = 5000;
         } else if (arg.rfind("--threads=", 0) == 0)
-            threads = static_cast<u32>(std::stoul(arg.substr(10)));
+            ok = parseCanonical(arg.substr(10), threads, kMaxWorkers);
         else if (arg.rfind("--entries=", 0) == 0)
-            entries = std::stoull(arg.substr(10));
+            ok = parseCanonical(arg.substr(10), entries);
         else if (arg.rfind("--ops=", 0) == 0)
-            contOps = std::stoull(arg.substr(6));
+            ok = parseCanonical(arg.substr(6), contOps);
         else if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(6);
         else if (arg.rfind("--check=", 0) == 0)
@@ -248,6 +250,10 @@ main(int argc, char **argv)
             return 0;
         } else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }

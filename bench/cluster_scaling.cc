@@ -36,6 +36,7 @@
 
 #include "common/error.h"
 #include "common/sync.h"
+#include "examples/cli.h"
 #include "core/simulator.h"
 #include "net/cluster_coordinator.h"
 #include "net/server.h"
@@ -170,19 +171,19 @@ main(int argc, char **argv)
     std::string check_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--quick")
             rounds = 1;
         else if (arg.rfind("--sms=", 0) == 0)
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseCanonical(arg.substr(6), sms);
         else if (arg.rfind("--rounds=", 0) == 0)
-            rounds = static_cast<u32>(std::stoul(arg.substr(9)));
+            ok = parseCanonical(arg.substr(9), rounds);
         else if (arg.rfind("--threads=", 0) == 0)
-            threads = static_cast<u32>(std::stoul(arg.substr(10)));
+            ok = parseCanonical(arg.substr(10), threads, kMaxWorkers);
         else if (arg.rfind("--executors=", 0) == 0)
-            executors = static_cast<u32>(std::stoul(arg.substr(12)));
+            ok = parseCanonical(arg.substr(12), executors, kMaxWorkers);
         else if (arg.rfind("--reps=", 0) == 0)
-            reps = std::max(1u, static_cast<u32>(
-                                    std::stoul(arg.substr(7))));
+            ok = parseCanonical(arg.substr(7), reps);
         else if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(6);
         else if (arg.rfind("--check=", 0) == 0)
@@ -196,7 +197,12 @@ main(int argc, char **argv)
             std::cerr << "unknown option " << arg << "\n";
             return 2;
         }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
+            return 2;
+        }
     }
+    reps = std::max(1u, reps);
 
     // The `--default` 48-job manifest, expressed as wire requests (the
     // coordinator resolves configs itself).

@@ -32,6 +32,7 @@
 
 #include "common/error.h"
 #include "common/sync.h"
+#include "examples/cli.h"
 #include "gen/fuzz.h"
 #include "net/cluster_coordinator.h"
 #include "net/server.h"
@@ -128,16 +129,17 @@ main(int argc, char **argv)
     std::string check_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--quick")
             scenarios = 12;
         else if (arg.rfind("--scenarios=", 0) == 0)
-            scenarios = static_cast<u32>(std::stoul(arg.substr(12)));
+            ok = parseCanonical(arg.substr(12), scenarios);
         else if (arg.rfind("--threads=", 0) == 0)
-            threads = static_cast<u32>(std::stoul(arg.substr(10)));
+            ok = parseCanonical(arg.substr(10), threads, kMaxWorkers);
         else if (arg.rfind("--executors=", 0) == 0)
-            executors = static_cast<u32>(std::stoul(arg.substr(12)));
+            ok = parseCanonical(arg.substr(12), executors, kMaxWorkers);
         else if (arg.rfind("--seed=", 0) == 0)
-            seed = std::stoull(arg.substr(7));
+            ok = parseCanonical(arg.substr(7), seed);
         else if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(6);
         else if (arg.rfind("--check=", 0) == 0)
@@ -149,6 +151,10 @@ main(int argc, char **argv)
             return 0;
         } else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }

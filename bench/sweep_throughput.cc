@@ -33,6 +33,7 @@
 
 #include "common/error.h"
 #include "common/sync.h"
+#include "examples/cli.h"
 #include "core/simulator.h"
 #include "service/sweep.h"
 #include "service/version.h"
@@ -85,14 +86,15 @@ main(int argc, char **argv)
     std::string check_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--quick")
             rounds = 1;
         else if (arg.rfind("--sms=", 0) == 0)
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseCanonical(arg.substr(6), sms);
         else if (arg.rfind("--rounds=", 0) == 0)
-            rounds = static_cast<u32>(std::stoul(arg.substr(9)));
+            ok = parseCanonical(arg.substr(9), rounds);
         else if (arg.rfind("--threads=", 0) == 0)
-            threads = static_cast<u32>(std::stoul(arg.substr(10)));
+            ok = parseCanonical(arg.substr(10), threads, kMaxWorkers);
         else if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(6);
         else if (arg.rfind("--check=", 0) == 0)
@@ -103,6 +105,10 @@ main(int argc, char **argv)
             return 0;
         } else {
             std::cerr << "unknown option " << arg << "\n";
+            return 2;
+        }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
             return 2;
         }
     }

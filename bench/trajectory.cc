@@ -46,6 +46,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/decimal.h"
 #include "core/simulator.h"
 #include "service/sweep.h"
 #include "sim/gpu.h"
@@ -309,15 +310,15 @@ main(int argc, char **argv)
     std::string check_path, before_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--quick")
             rounds = 1;
         else if (arg.rfind("--sms=", 0) == 0)
-            sms = static_cast<u32>(std::stoul(arg.substr(6)));
+            ok = parseCanonical(arg.substr(6), sms);
         else if (arg.rfind("--rounds=", 0) == 0)
-            rounds = static_cast<u32>(std::stoul(arg.substr(9)));
+            ok = parseCanonical(arg.substr(9), rounds);
         else if (arg.rfind("--reps=", 0) == 0)
-            reps = std::max(1u, static_cast<u32>(
-                                    std::stoul(arg.substr(7))));
+            ok = parseCanonical(arg.substr(7), reps);
         else if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(6);
         else if (arg.rfind("--check=", 0) == 0)
@@ -335,7 +336,12 @@ main(int argc, char **argv)
             std::cerr << "unknown option " << arg << "\n";
             return 2;
         }
+        if (!ok) {
+            std::cerr << "unparsable value in " << arg << "\n";
+            return 2;
+        }
     }
+    reps = std::max(1u, reps);
 
     // The three regfile configurations of the paper's evaluation.
     std::vector<RunConfig> configs{RunConfig::baseline(),

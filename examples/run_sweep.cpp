@@ -54,6 +54,9 @@
  *   run_sweep manifest.txt --cache-dir=/tmp/rfv --json=-
  *   run_sweep --default && run_sweep --default --expect-hit-rate=0.9
  */
+#include <functional>
+#include <type_traits>
+
 #include "cli.h"
 #include "service/request.h"
 #include "service/sweep.h"
@@ -84,47 +87,38 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/**
+ * One JSON member per walked field of @p s, each on its own line after
+ * @p indent; a nested stats struct becomes an object.
+ */
+template <class S>
+void
+writeJsonFields(std::ostream &os, const S &s, const std::string &indent)
+{
+    const char *sep = "";
+    S::fields([&](const char *name, auto field) {
+        const auto &v = std::invoke(field, s);
+        using V = std::decay_t<decltype(v)>;
+        os << sep << "\n" << indent << '"' << name << "\": ";
+        sep = ",";
+        if constexpr (std::is_class_v<V> && !std::is_same_v<V, Counter>) {
+            os << "{";
+            writeJsonFields(os, v, indent + "  ");
+            os << "\n" << indent << "}";
+        } else {
+            os << v;
+        }
+    });
+}
+
 void
 writeJson(std::ostream &os, const std::vector<SweepJobResult> &results,
           const SweepStats &st)
 {
     os << "{\n";
-    os << "  \"simulator_version\": \"" << kSimulatorVersion << "\",\n";
-    os << "  \"jobs_total\": " << st.jobsTotal << ",\n";
-    os << "  \"jobs_run\": " << st.jobsRun << ",\n";
-    os << "  \"jobs_cached\": " << st.jobsCached << ",\n";
-    os << "  \"jobs_failed\": " << st.jobsFailed << ",\n";
-    os << "  \"jobs_cancelled\": " << st.jobsCancelled << ",\n";
-    os << "  \"hit_rate\": " << st.hitRate() << ",\n";
-    os << "  \"steals\": " << st.steals << ",\n";
-    os << "  \"parks\": " << st.parks << ",\n";
-    os << "  \"artifacts\": {\n";
-    os << "    \"programs_built\": " << st.artifacts.programsBuilt
-       << ", \"programs_reused\": " << st.artifacts.programsReused
-       << ",\n";
-    os << "    \"compiles_built\": " << st.artifacts.compilesBuilt
-       << ", \"compiles_reused\": " << st.artifacts.compilesReused
-       << ",\n";
-    os << "    \"verifies_built\": " << st.artifacts.verifiesBuilt
-       << ", \"verifies_reused\": " << st.artifacts.verifiesReused
-       << ",\n";
-    os << "    \"decodes_built\": " << st.artifacts.decodesBuilt
-       << ", \"decodes_reused\": " << st.artifacts.decodesReused << "\n";
-    os << "  },\n";
-    os << "  \"cache\": { \"memory_hits\": " << st.cache.memoryHits
-       << ", \"disk_hits\": " << st.cache.diskHits
-       << ", \"misses\": " << st.cache.misses
-       << ", \"stores\": " << st.cache.stores
-       << ", \"bad_entries\": " << st.cache.badEntries
-       << ",\n             \"evictions\": " << st.cache.evictions
-       << ", \"memory_bytes\": " << st.cache.memoryBytes
-       << ", \"write_behind_depth\": " << st.cache.writeBehindDepth
-       << ", \"write_behind_drops\": " << st.cache.writeBehindDrops
-       << " },\n";
-    os << "  \"aggregate_cycles\": " << st.aggregateCycles << ",\n";
-    os << "  \"aggregate_instrs\": " << st.aggregateInstrs << ",\n";
-    os << "  \"wall_seconds\": " << st.wallSeconds << ",\n";
-    os << "  \"cycles_per_sec\": " << st.cyclesPerSec() << ",\n";
+    os << "  \"simulator_version\": \"" << kSimulatorVersion << "\",";
+    writeJsonFields(os, st, "  ");
+    os << ",\n";
     os << "  \"results\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const SweepJobResult &r = results[i];

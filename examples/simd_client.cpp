@@ -268,13 +268,12 @@ main(int argc, char **argv)
         if (!quiet && coordinator) {
             const ClusterCoordinator::Stats cs =
                 coordinator->statsSnapshot();
-            std::cerr << "cluster-summary: dispatches=" << cs.dispatches
-                      << " reroutes=" << cs.reroutes
-                      << " failovers=" << cs.failovers
-                      << " shed_retries=" << cs.shedRetries
-                      << " ring_refreshes=" << cs.ringRefreshes
-                      << " nodes_marked_down=" << cs.nodesMarkedDown
-                      << " epoch=" << coordinator->ringEpoch() << "\n";
+            std::cerr << "cluster-summary:";
+            ClusterCoordinator::Stats::fields(
+                [&](const char *name, auto field) {
+                    std::cerr << " " << name << "=" << cs.*field;
+                });
+            std::cerr << " epoch=" << coordinator->ringEpoch() << "\n";
         }
         if (gInterrupted.load()) {
             std::cerr << "interrupted: " << ok << "/" << entries.size()

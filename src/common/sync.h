@@ -45,6 +45,7 @@
 #ifndef RFV_COMMON_SYNC_H
 #define RFV_COMMON_SYNC_H
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -288,6 +289,50 @@ class Thread {
 
   private:
     std::thread t_;
+};
+
+/**
+ * Monotonic event counter of the service stats structs: bumped by any
+ * thread without a lock, copied as a snapshot, read as a u64.  Each
+ * such struct has one walk, `static void fields(fn)`, calling
+ * fn(wire_name, &Struct::member) in output order for its serializers.
+ */
+class Counter {
+  public:
+    Counter() = default;
+    Counter(u64 v) : v_(v) {} // a value converts to its own snapshot
+    Counter(const Counter &other) : v_(static_cast<u64>(other)) {}
+
+    Counter &
+    operator=(const Counter &other)
+    {
+        v_.store(other, kOrder);
+        return *this;
+    }
+
+    operator u64() const { return v_.load(kOrder); }
+
+    Counter &
+    operator++()
+    {
+        v_.fetch_add(1, kOrder);
+        return *this;
+    }
+
+    Counter &
+    operator+=(u64 n)
+    {
+        v_.fetch_add(n, kOrder);
+        return *this;
+    }
+
+  private:
+    // relaxed: monotonic statistics; no counter orders another access.
+    // A struct snapshot reads its counters one by one, so identities
+    // between counters hold once traffic has stopped.
+    static constexpr std::memory_order kOrder = std::memory_order_relaxed;
+
+    std::atomic<u64> v_{0};
 };
 
 /** Hint for sizing worker fleets (>= 1 even when unknown). */

@@ -49,8 +49,7 @@ WorkStealingPool::trySteal(u32 self, u32 &job)
         // keeps its cache-warm front, thieves drain the cold back.
         job = v.jobs.back();
         v.jobs.pop_back();
-        // relaxed: steals_ is a monotonic statistic.
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        ++steals_;
         return true;
     }
     return false;
@@ -84,8 +83,7 @@ WorkStealingPool::workerLoop(u32 self)
         {
             MutexLock lk(mu_);
             if (generation_ == seen && !stop_) {
-                // relaxed: parks_ is a monotonic statistic.
-                parks_.fetch_add(1, std::memory_order_relaxed);
+                ++parks_;
                 // While-loop wait: the predicate reads mu_-guarded
                 // round state, which the analysis can only verify in
                 // this scope (where MutexLock holds mu_).

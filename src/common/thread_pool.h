@@ -10,7 +10,6 @@
 #ifndef RFV_COMMON_THREAD_POOL_H
 #define RFV_COMMON_THREAD_POOL_H
 
-#include <atomic>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -50,20 +49,10 @@ class WorkStealingPool {
     void run(u32 count, const std::function<void(u32, u32)> &fn);
 
     /** Jobs executed by a worker other than the one they were dealt to. */
-    u64
-    steals() const
-    {
-        // relaxed: monotonic statistic, read for reporting only.
-        return steals_.load(std::memory_order_relaxed);
-    }
+    u64 steals() const { return steals_; }
 
     /** Times a worker blocked waiting for work (idle parking events). */
-    u64
-    parks() const
-    {
-        // relaxed: monotonic statistic, read for reporting only.
-        return parks_.load(std::memory_order_relaxed);
-    }
+    u64 parks() const { return parks_; }
 
   private:
     struct alignas(64) Slot {
@@ -88,8 +77,8 @@ class WorkStealingPool {
     u32 remaining_ RFV_GUARDED_BY(mu_) = 0; //!< jobs not yet done this round
     u32 exited_ RFV_GUARDED_BY(mu_) = 0; //!< spawned workers out of the round
 
-    std::atomic<u64> steals_{0};
-    std::atomic<u64> parks_{0};
+    Counter steals_;
+    Counter parks_;
 
     std::exception_ptr firstError_ RFV_GUARDED_BY(mu_);
 };

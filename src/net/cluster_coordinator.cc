@@ -20,6 +20,12 @@ steadyNowMs()
         .count();
 }
 
+/** PING and CLUSTER round-trip budget. */
+constexpr i64 kProbeTimeoutMs = 1000;
+
+/** Backoff cap once every owner shed (jittered, deadline-capped). */
+constexpr i64 kShedBackoffCapMs = 1000;
+
 } // namespace
 
 ClusterCoordinator::ClusterCoordinator(CoordinatorOptions opts)
@@ -53,13 +59,6 @@ ClusterCoordinator::ringEpoch() const
 {
     MutexLock lk(mu_);
     return ring_.epoch();
-}
-
-ClusterCoordinator::Stats
-ClusterCoordinator::statsSnapshot() const
-{
-    MutexLock lk(mu_);
-    return stats_;
 }
 
 // ---- connection pool ---------------------------------------------------
@@ -106,10 +105,10 @@ ClusterCoordinator::release(const std::string &endpoint,
 void
 ClusterCoordinator::markDown(const std::string &endpoint)
 {
+    ++stats_.nodesMarkedDown;
     MutexLock lk(mu_);
     health_[endpoint].downUntilMs =
         steadyNowMs() + std::max<i64>(1, opts_.downHoldoffMs);
-    ++stats_.nodesMarkedDown;
 }
 
 bool
@@ -123,12 +122,9 @@ ClusterCoordinator::usable(const std::string &endpoint, i64 nowMs)
 bool
 ClusterCoordinator::probe(const std::string &endpoint)
 {
-    {
-        MutexLock lk(mu_);
-        ++stats_.probes;
-    }
+    ++stats_.probes;
     std::unique_ptr<SimdClient> client = acquire(endpoint);
-    client->setResponseTimeoutMs(opts_.probeTimeoutMs);
+    client->setResponseTimeoutMs(kProbeTimeoutMs);
     Message ping;
     ping.verb = kVerbPing;
     Message pong;
@@ -142,8 +138,8 @@ ClusterCoordinator::probe(const std::string &endpoint)
         health_[endpoint].downUntilMs = 0;
         return true;
     }
-    MutexLock lk(mu_);
     ++stats_.probeFailures;
+    MutexLock lk(mu_);
     health_[endpoint].downUntilMs =
         steadyNowMs() + std::max<i64>(1, opts_.downHoldoffMs);
     return false;
@@ -169,7 +165,7 @@ ClusterCoordinator::refreshRing(std::string &error)
     for (const RingNode &node : snapshot.nodes()) {
         const std::string endpoint = node.endpoint();
         std::unique_ptr<SimdClient> client = acquire(endpoint);
-        client->setResponseTimeoutMs(opts_.probeTimeoutMs);
+        client->setResponseTimeoutMs(kProbeTimeoutMs);
         Message request;
         request.verb = kVerbCluster;
         Message response;
@@ -187,7 +183,6 @@ ClusterCoordinator::refreshRing(std::string &error)
             continue;
         }
         adoptRing(ring);
-        MutexLock lk(mu_);
         ++stats_.ringRefreshes;
         return ServiceStatus::kOk;
     }
@@ -269,10 +264,7 @@ ClusterCoordinator::run(const ServiceRequest &req, SweepJobResult &res,
         return budgetMs - elapsed;
     };
     const auto deadlineExhausted = [&]() -> ServiceStatus {
-        {
-            MutexLock lk(mu_);
-            ++stats_.deadlineExhausted;
-        }
+        ++stats_.deadlineExhausted;
         res = SweepJobResult{};
         res.job = job;
         res.status = ServiceStatus::kDeadlineExceeded;
@@ -359,10 +351,7 @@ ClusterCoordinator::run(const ServiceRequest &req, SweepJobResult &res,
         error.clear();
         last = runOnce(target, attempt, res, raw, error,
                        responseTimeoutMs, transportFailed);
-        {
-            MutexLock lk(mu_);
-            ++stats_.dispatches;
-        }
+        ++stats_.dispatches;
         if (!error.empty())
             lastError = target + ": " + error;
 
@@ -373,18 +362,12 @@ ClusterCoordinator::run(const ServiceRequest &req, SweepJobResult &res,
             // Request-level failure detection: quarantine the node
             // and fail over to the next replica of the same key.
             markDown(target);
-            {
-                MutexLock lk(mu_);
-                ++stats_.failovers;
-            }
+            ++stats_.failovers;
             continue;
         }
 
         if (isRerouteable(last)) {
-            {
-                MutexLock lk(mu_);
-                ++stats_.reroutes;
-            }
+            ++stats_.reroutes;
             RedirectInfo info;
             if (decodeRedirect(raw, info)) {
                 if (info.ringEpoch > ringEpoch()) {
@@ -404,17 +387,14 @@ ClusterCoordinator::run(const ServiceRequest &req, SweepJobResult &res,
             // Shed or draining: spill to the key's other replicas
             // first (cluster-wide scheduling — capacity elsewhere is
             // used before waiting); once every owner shed, back off.
-            {
-                MutexLock lk(mu_);
-                ++stats_.shedRetries;
-            }
+            ++stats_.shedRetries;
             for (const std::string &owner : owners)
                 if (owner != target)
                     preferred.push_back(owner);
             if (preferred.empty()) {
                 i64 sleepMs = fullJitterBackoffMs(
                     backoffJitter, shedRounds, opts_.client.backoffBaseMs,
-                    opts_.shedBackoffCapMs);
+                    kShedBackoffCapMs);
                 if (budgetMs >= 0) {
                     const i64 left = budgetLeftMs();
                     if (left <= 0)
@@ -451,7 +431,7 @@ ClusterCoordinator::statsAll()
     for (const RingNode &node : ring.nodes()) {
         const std::string endpoint = node.endpoint();
         std::unique_ptr<SimdClient> client = acquire(endpoint);
-        client->setResponseTimeoutMs(opts_.probeTimeoutMs);
+        client->setResponseTimeoutMs(kProbeTimeoutMs);
         Message stats;
         std::string error;
         if (client->stats(stats, error) == ServiceStatus::kOk) {

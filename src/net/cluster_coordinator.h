@@ -56,31 +56,39 @@ struct CoordinatorOptions {
     u32 replication = 2;
     u64 epoch = 1;
 
-    i64 probeTimeoutMs = 1000; //!< PING round-trip budget
     i64 downHoldoffMs = 2000;  //!< quarantine after a node failure
     u32 maxDispatches = 8;     //!< routing attempts per request
-
-    /**
-     * Backoff cap when every owner sheds load (RETRY_LATER); the
-     * actual sleep is jittered via the client template's backoff
-     * parameters and capped by the remaining deadline.
-     */
-    i64 shedBackoffCapMs = 1000;
 };
 
 class ClusterCoordinator {
   public:
     /** Routing counters (one coordinator, all worker threads). */
     struct Stats {
-        u64 dispatches = 0;   //!< RUNs sent to some node
-        u64 reroutes = 0;     //!< NOT_OWNER/REDIRECT follow-ups
-        u64 failovers = 0;    //!< transport-failure re-dispatches
-        u64 shedRetries = 0;  //!< RETRY_LATER re-dispatches
-        u64 ringRefreshes = 0;
-        u64 probes = 0;       //!< PING health checks sent
-        u64 probeFailures = 0;
-        u64 nodesMarkedDown = 0;
-        u64 deadlineExhausted = 0; //!< budget died before an answer
+        Counter dispatches;   //!< RUNs sent to some node
+        Counter reroutes;     //!< NOT_OWNER/REDIRECT follow-ups
+        Counter failovers;    //!< transport-failure re-dispatches
+        Counter shedRetries;  //!< RETRY_LATER re-dispatches
+        Counter ringRefreshes;
+        Counter probes;       //!< PING health checks sent
+        Counter probeFailures;
+        Counter nodesMarkedDown;
+        Counter deadlineExhausted; //!< budget died before an answer
+
+        /** The `cluster-summary:` names, in output order. */
+        template <class Fn>
+        static void
+        fields(Fn &&fn)
+        {
+            fn("dispatches", &Stats::dispatches);
+            fn("reroutes", &Stats::reroutes);
+            fn("failovers", &Stats::failovers);
+            fn("shed_retries", &Stats::shedRetries);
+            fn("ring_refreshes", &Stats::ringRefreshes);
+            fn("probes", &Stats::probes);
+            fn("probe_failures", &Stats::probeFailures);
+            fn("nodes_marked_down", &Stats::nodesMarkedDown);
+            fn("deadline_exhausted", &Stats::deadlineExhausted);
+        }
     };
 
     /** Throws ConfigError on an empty or malformed node list. */
@@ -117,7 +125,7 @@ class ClusterCoordinator {
 
     HashRing ringSnapshot() const RFV_EXCLUDES(mu_);
     u64 ringEpoch() const RFV_EXCLUDES(mu_);
-    Stats statsSnapshot() const RFV_EXCLUDES(mu_);
+    Stats statsSnapshot() const { return stats_; }
 
   private:
     struct NodeHealth {
@@ -145,7 +153,7 @@ class ClusterCoordinator {
     std::map<std::string, NodeHealth> health_ RFV_GUARDED_BY(mu_);
     std::map<std::string, std::vector<std::unique_ptr<SimdClient>>>
         pool_ RFV_GUARDED_BY(mu_);
-    Stats stats_ RFV_GUARDED_BY(mu_);
+    Stats stats_;
     u64 nextJitterSeed_ RFV_GUARDED_BY(mu_) = 0;
 };
 

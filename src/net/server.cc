@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/framing.h"
@@ -16,6 +18,12 @@ namespace {
 
 /** Poll slice for loops that must observe shutdown flags. */
 constexpr i64 kPollSliceMs = 100;
+
+/** Max wall time for one frame's bytes. */
+constexpr i64 kFrameTimeoutMs = 10000;
+
+/** Replication push queue depth; overflow drops the push. */
+constexpr size_t kReplicationQueueDepth = 256;
 
 SweepOptions
 serverSweepOptions(SweepOptions sweep)
@@ -184,7 +192,7 @@ SimdServer::enqueueReplication(const ServiceRequest &naming,
     bool dropped = false;
     {
         MutexLock lk(replMu_);
-        if (replQueue_.size() >= opts_.replicationQueueDepth ||
+        if (replQueue_.size() >= kReplicationQueueDepth ||
             replDraining_) {
             dropped = true;
         } else {
@@ -197,7 +205,6 @@ SimdServer::enqueueReplication(const ServiceRequest &naming,
         }
     }
     if (dropped) {
-        MutexLock lk(statsMu_);
         ++stats_.replicationDropped;
         return;
     }
@@ -273,15 +280,12 @@ SimdServer::replicatorLoop()
                 peer->request(store, ack, error) ==
                     ServiceStatus::kOk &&
                 ack.verb == kVerbStored && ack.get("stored") == "1";
-            {
-                MutexLock lk(statsMu_);
-                if (sent)
-                    ++stats_.replicationSent;
-                else
-                    ++stats_.replicationFailed;
-            }
-            if (!sent)
+            if (sent) {
+                ++stats_.replicationSent;
+            } else {
+                ++stats_.replicationFailed;
                 peer->disconnect(); // force a clean reconnect next time
+            }
         }
     }
 }
@@ -300,7 +304,7 @@ SimdServer::handleStore(Connection *conn, const Message &msg)
     Socket &sock = conn->sock;
     const auto reply = [&](const Message &m) {
         return writeFrame(sock, m.encode(),
-                          deadlineAfterMs(opts_.frameTimeoutMs)) ==
+                          deadlineAfterMs(kFrameTimeoutMs)) ==
                FrameStatus::kOk;
     };
 
@@ -342,13 +346,10 @@ SimdServer::handleStore(Connection *conn, const Message &msg)
         }
     }
 
-    {
-        MutexLock lk(statsMu_);
-        if (s == ServiceStatus::kOk)
-            ++stats_.replicationStored;
-        else
-            ++stats_.replicationRejected;
-    }
+    if (s == ServiceStatus::kOk)
+        ++stats_.replicationStored;
+    else
+        ++stats_.replicationRejected;
     Message ack;
     ack.verb = kVerbStored;
     ack.add("status", serviceStatusName(s));
@@ -371,14 +372,10 @@ SimdServer::acceptLoop()
 
         MutexLock lk(connMu_);
         if (connections_.size() >= opts_.maxConnections) {
-            MutexLock slk(statsMu_);
             ++stats_.connectionsRejected;
             continue; // Socket closes on scope exit; client retries.
         }
-        {
-            MutexLock slk(statsMu_);
-            ++stats_.connectionsAccepted;
-        }
+        ++stats_.connectionsAccepted;
         auto conn = std::make_unique<Connection>();
         conn->sock = std::move(*sock);
         Connection *raw = conn.get();
@@ -417,17 +414,14 @@ void
 SimdServer::serveConnection(Connection *conn)
 {
     Socket &sock = conn->sock;
-    const auto frameDeadline = [this] {
-        return deadlineAfterMs(opts_.frameTimeoutMs);
+    const auto frameDeadline = [] {
+        return deadlineAfterMs(kFrameTimeoutMs);
     };
     const auto sendMessage = [&](const Message &m) {
         return writeFrame(sock, m.encode(), frameDeadline()) ==
                FrameStatus::kOk;
     };
-    const auto countBadFrame = [this] {
-        MutexLock lk(statsMu_);
-        ++stats_.badFrames;
-    };
+    const auto countBadFrame = [this] { ++stats_.badFrames; };
     // Clustered peers push STORE frames carrying full outcome blobs;
     // plain clients stay under the small request cap.
     const auto requestCap = [this] {
@@ -450,7 +444,6 @@ SimdServer::serveConnection(Connection *conn)
                     std::chrono::steady_clock::now() - since)
                     .count();
             if (opts_.idleTimeoutMs >= 0 && idleMs > opts_.idleTimeoutMs) {
-                MutexLock lk(statsMu_);
                 ++stats_.connectionsReaped;
                 return IoStatus::kTimedOut;
             }
@@ -529,17 +522,11 @@ SimdServer::serveConnection(Connection *conn)
             if (!handleRun(conn, msg))
                 break;
         } else if (msg.verb == kVerbStats) {
-            {
-                MutexLock lk(statsMu_);
-                ++stats_.statsRequests;
-            }
+            ++stats_.statsRequests;
             if (!sendMessage(statsMessage()))
                 break;
         } else if (msg.verb == kVerbCluster) {
-            {
-                MutexLock lk(statsMu_);
-                ++stats_.clusterRequests;
-            }
+            ++stats_.clusterRequests;
             const auto state = clusterState();
             const Message response =
                 state ? encodeClusterInfo(state->ring, state->self)
@@ -548,10 +535,7 @@ SimdServer::serveConnection(Connection *conn)
             if (!sendMessage(response))
                 break;
         } else if (msg.verb == kVerbPing) {
-            {
-                MutexLock lk(statsMu_);
-                ++stats_.pingRequests;
-            }
+            ++stats_.pingRequests;
             const auto state = clusterState();
             Message pong;
             pong.verb = kVerbPong;
@@ -579,8 +563,8 @@ bool
 SimdServer::handleRun(Connection *conn, const Message &msg)
 {
     Socket &sock = conn->sock;
-    const auto frameDeadline = [this] {
-        return deadlineAfterMs(opts_.frameTimeoutMs);
+    const auto frameDeadline = [] {
+        return deadlineAfterMs(kFrameTimeoutMs);
     };
     const auto reply = [&](const Message &m) {
         return writeFrame(sock, m.encode(), frameDeadline()) ==
@@ -592,10 +576,7 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
     // ledger must reconcile with what clients observed.
     const auto replyFailed = [&](ServiceStatus s,
                                  const std::string &error) {
-        {
-            MutexLock lk(statsMu_);
-            ++stats_.requestsFailed;
-        }
+        ++stats_.requestsFailed;
         return reply(makeErrorResult(s, error));
     };
 
@@ -637,10 +618,7 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
                 owned = true;
             }
             if (!owned) {
-                {
-                    MutexLock lk(statsMu_);
-                    ++stats_.requestsNotOwner;
-                }
+                ++stats_.requestsNotOwner;
                 return reply(makeRedirectResult(
                     ServiceStatus::kNotOwner, otherOwners, ringEpoch,
                     "key is owned by another node under ring epoch " +
@@ -674,11 +652,8 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
             shed = true;
         } else {
             queue_.push_back(std::move(pending));
-            MutexLock slk(statsMu_);
             ++stats_.requestsAccepted;
-            stats_.queueDepth = queue_.size();
-            stats_.queueHighWater =
-                std::max<u64>(stats_.queueHighWater, queue_.size());
+            queueHighWater_ = std::max<u64>(queueHighWater_, queue_.size());
         }
     }
     if (drainRefused) {
@@ -686,26 +661,17 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
         // answer REDIRECT with the surviving replicas so the client
         // re-dispatches in one hop instead of blindly retrying.
         if (clustered_ && !otherOwners.empty()) {
-            {
-                MutexLock lk(statsMu_);
-                ++stats_.requestsRedirected;
-            }
+            ++stats_.requestsRedirected;
             return reply(makeRedirectResult(
                 ServiceStatus::kRedirect, otherOwners, ringEpoch,
                 "server is draining; re-dispatch to a replica"));
         }
-        {
-            MutexLock lk(statsMu_);
-            ++stats_.requestsShutdown;
-        }
+        ++stats_.requestsShutdown;
         return reply(makeErrorResult(ServiceStatus::kShuttingDown,
                                      "server is draining"));
     }
     if (shed) {
-        {
-            MutexLock lk(statsMu_);
-            ++stats_.requestsShed;
-        }
+        ++stats_.requestsShed;
         return reply(makeErrorResult(
             ServiceStatus::kRetryLater,
             "admission queue full (" +
@@ -718,7 +684,6 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
     // the executor and warms the result cache for the retry.
     if (deadline) {
         if (future.wait_until(*deadline) != std::future_status::ready) {
-            MutexLock lk(statsMu_);
             ++stats_.requestsTimedOut;
             return reply(makeErrorResult(
                 ServiceStatus::kDeadlineExceeded,
@@ -728,19 +693,16 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
     }
     const SweepJobResult res = future.get();
 
-    {
-        MutexLock lk(statsMu_);
-        if (res.ok()) {
-            ++stats_.requestsOk;
-            if (res.fromCache)
-                ++stats_.servedFromCache;
-            stats_.aggregateCycles += res.outcome.sim.cycles;
-            stats_.aggregateInstrs += res.outcome.sim.issuedInstrs;
-        } else if (res.status == ServiceStatus::kDeadlineExceeded) {
-            ++stats_.requestsTimedOut;
-        } else {
-            ++stats_.requestsFailed;
-        }
+    if (res.ok()) {
+        ++stats_.requestsOk;
+        if (res.fromCache)
+            ++stats_.servedFromCache;
+        stats_.aggregateCycles += res.outcome.sim.cycles;
+        stats_.aggregateInstrs += res.outcome.sim.issuedInstrs;
+    } else if (res.status == ServiceStatus::kDeadlineExceeded) {
+        ++stats_.requestsTimedOut;
+    } else {
+        ++stats_.requestsFailed;
     }
     return reply(encodeResult(res));
 }
@@ -766,8 +728,6 @@ SimdServer::executorLoop()
             }
             pending = std::move(queue_.front());
             queue_.pop_front();
-            MutexLock slk(statsMu_);
-            stats_.queueDepth = queue_.size();
         }
 
         if (opts_.executeHook)
@@ -803,22 +763,22 @@ SimdServer::executorLoop()
 SimdServer::Stats
 SimdServer::statsSnapshot() const
 {
-    Stats s;
-    {
-        MutexLock lk(statsMu_);
-        s = stats_;
-    }
-    // Taken outside statsMu_: handleRun nests statsMu_ *inside*
-    // queueMu_, so acquiring them here in the opposite order would be
-    // an ABBA deadlock (statsMu_ is RFV_ACQUIRED_AFTER(queueMu_)).
-    {
-        MutexLock qlk(queueMu_);
-        s.queueDepth = queue_.size();
-    }
+    Stats s = stats_;
     s.uptimeSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       startTime_)
             .count();
+    if (const auto state = clusterState()) {
+        s.ringEpoch = state->ring.epoch();
+        s.ringNodes = state->ring.nodes().size();
+        s.ringReplication = state->ring.replication();
+    }
+    {
+        MutexLock lk(queueMu_);
+        s.queueDepth = queue_.size();
+        s.queueHighWater = queueHighWater_;
+    }
+    s.cache = engine_.results().stats();
     return s;
 }
 
@@ -826,54 +786,24 @@ Message
 SimdServer::statsMessage()
 {
     const Stats s = statsSnapshot();
-    const ResultCache::Stats cache = engine_.results().stats();
-
     Message m;
     m.verb = kVerbStats;
     m.add("sim_version", kSimulatorVersion);
     m.addU64("proto_version", kProtoVersionMax);
-    m.add("uptime_seconds", std::to_string(s.uptimeSeconds));
-    m.addU64("connections_accepted", s.connectionsAccepted);
-    m.addU64("connections_rejected", s.connectionsRejected);
-    m.addU64("connections_reaped", s.connectionsReaped);
-    m.addU64("bad_frames", s.badFrames);
-    m.addU64("requests_accepted", s.requestsAccepted);
-    m.addU64("requests_shed", s.requestsShed);
-    m.addU64("requests_shutdown", s.requestsShutdown);
-    m.addU64("requests_ok", s.requestsOk);
-    m.addU64("requests_failed", s.requestsFailed);
-    m.addU64("requests_timed_out", s.requestsTimedOut);
-    m.addU64("stats_requests", s.statsRequests);
-    m.addU64("served_from_cache", s.servedFromCache);
-    if (clustered_) {
-        const HashRing ring = ringSnapshot();
-        m.addU64("ring_epoch", ring.epoch());
-        m.addU64("ring_nodes", ring.nodes().size());
-        m.addU64("ring_replication", ring.replication());
-        m.addU64("requests_not_owner", s.requestsNotOwner);
-        m.addU64("requests_redirected", s.requestsRedirected);
-        m.addU64("cluster_requests", s.clusterRequests);
-        m.addU64("ping_requests", s.pingRequests);
-        m.addU64("replication_sent", s.replicationSent);
-        m.addU64("replication_failed", s.replicationFailed);
-        m.addU64("replication_dropped", s.replicationDropped);
-        m.addU64("replication_stored", s.replicationStored);
-        m.addU64("replication_rejected", s.replicationRejected);
-    }
-    m.addU64("queue_depth", s.queueDepth);
-    m.addU64("queue_high_water", s.queueHighWater);
-    m.addU64("cache_memory_hits", cache.memoryHits);
-    m.addU64("cache_disk_hits", cache.diskHits);
-    m.addU64("cache_misses", cache.misses);
-    m.addU64("cache_stores", cache.stores);
-    m.addU64("cache_bad_entries", cache.badEntries);
-    m.addU64("cache_evictions", cache.evictions);
-    m.addU64("cache_memory_bytes", cache.memoryBytes);
-    m.addU64("cache_write_behind_depth", cache.writeBehindDepth);
-    m.addU64("cache_write_behind_drops", cache.writeBehindDrops);
-    m.addU64("aggregate_cycles", s.aggregateCycles);
-    m.addU64("aggregate_instrs", s.aggregateInstrs);
-    m.add("cycles_per_sec", std::to_string(s.cyclesPerSec()));
+    Stats::fields(
+        [&](const std::string &name, auto field) {
+            const auto &v = std::invoke(field, s);
+            using V = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<V, ResultCache::Stats>)
+                V::fields([&](const char *sub, auto f) {
+                    m.addU64(name + sub, v.*f);
+                });
+            else if constexpr (std::is_same_v<V, double>)
+                m.add(name, std::to_string(v));
+            else
+                m.addU64(name, v);
+        },
+        clustered_);
     return m;
 }
 

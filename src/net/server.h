@@ -75,12 +75,8 @@ struct ServerOptions {
     u32 queueCapacity = 16; //!< admitted-but-unstarted request cap
     u32 maxConnections = 64;
     i64 idleTimeoutMs = 30000; //!< reap connections idle this long
-    i64 frameTimeoutMs = 10000; //!< max wall time for one frame's bytes
     SweepOptions sweep;         //!< cache dir etc. (jobs is ignored)
     ClusterConfig cluster;      //!< empty nodes = standalone daemon
-
-    /** Replication push queue depth; overflow drops the push. */
-    u32 replicationQueueDepth = 256;
 
     /**
      * Test seam: runs on the executor thread immediately before each
@@ -92,34 +88,38 @@ struct ServerOptions {
 
 class SimdServer {
   public:
-    /** Counters exported by the STATS verb.  Plain values (snapshot). */
+    /** STATS counters; statsSnapshot() fills in the plain gauges. */
     struct Stats {
-        u64 connectionsAccepted = 0;
-        u64 connectionsRejected = 0; //!< over maxConnections
-        u64 connectionsReaped = 0;   //!< idle-timeout closures
-        u64 badFrames = 0;       //!< framing/parse violations survived
-        u64 requestsAccepted = 0;    //!< admitted to the queue
-        u64 requestsShed = 0;        //!< RETRY_LATER (queue full)
-        u64 requestsShutdown = 0;    //!< SHUTTING_DOWN during drain
-        u64 requestsOk = 0;
-        u64 requestsFailed = 0;   //!< structured per-job errors
-        u64 requestsTimedOut = 0; //!< deadline expiry (queued or waiting)
-        u64 statsRequests = 0;
-        u64 servedFromCache = 0;
-        u64 requestsNotOwner = 0;   //!< RUNs refused: key owned elsewhere
-        u64 requestsRedirected = 0; //!< RUNs redirected during drain
-        u64 clusterRequests = 0;    //!< CLUSTER verb servings
-        u64 pingRequests = 0;       //!< PING verb servings
-        u64 replicationSent = 0;    //!< STOREs acked by a peer
-        u64 replicationFailed = 0;  //!< STOREs a peer refused/dropped
-        u64 replicationDropped = 0; //!< pushes dropped (queue full)
-        u64 replicationStored = 0;  //!< peer STOREs admitted locally
-        u64 replicationRejected = 0; //!< peer STOREs refused locally
+        double uptimeSeconds = 0;
+        Counter connectionsAccepted;
+        Counter connectionsRejected; //!< over maxConnections
+        Counter connectionsReaped;   //!< idle-timeout closures
+        Counter badFrames;       //!< framing/parse violations survived
+        Counter requestsAccepted;    //!< admitted to the queue
+        Counter requestsShed;        //!< RETRY_LATER (queue full)
+        Counter requestsShutdown;    //!< SHUTTING_DOWN during drain
+        Counter requestsOk;
+        Counter requestsFailed;   //!< structured per-job errors
+        Counter requestsTimedOut; //!< deadline expiry (queued or waiting)
+        Counter statsRequests;
+        Counter servedFromCache;
+        u64 ringEpoch = 0;
+        u64 ringNodes = 0;
+        u64 ringReplication = 0;
+        Counter requestsNotOwner;   //!< RUNs refused: key owned elsewhere
+        Counter requestsRedirected; //!< RUNs redirected during drain
+        Counter clusterRequests;    //!< CLUSTER verb servings
+        Counter pingRequests;       //!< PING verb servings
+        Counter replicationSent;    //!< STOREs acked by a peer
+        Counter replicationFailed;  //!< STOREs a peer refused/dropped
+        Counter replicationDropped; //!< pushes dropped (queue full)
+        Counter replicationStored;  //!< peer STOREs admitted locally
+        Counter replicationRejected; //!< peer STOREs refused locally
         u64 queueDepth = 0;
         u64 queueHighWater = 0;
-        u64 aggregateCycles = 0;
-        u64 aggregateInstrs = 0;
-        double uptimeSeconds = 0;
+        ResultCache::Stats cache;
+        Counter aggregateCycles;
+        Counter aggregateInstrs;
 
         double
         cyclesPerSec() const
@@ -128,6 +128,49 @@ class SimdServer {
                        ? static_cast<double>(aggregateCycles) /
                              uptimeSeconds
                        : 0.0;
+        }
+
+        /**
+         * STATS wire order: the ring and cluster keys only when
+         * @p clustered, the cache's walk under a `cache_` prefix.
+         */
+        template <class Fn>
+        static void
+        fields(Fn &&fn, bool clustered)
+        {
+            fn("uptime_seconds", &Stats::uptimeSeconds);
+            fn("connections_accepted", &Stats::connectionsAccepted);
+            fn("connections_rejected", &Stats::connectionsRejected);
+            fn("connections_reaped", &Stats::connectionsReaped);
+            fn("bad_frames", &Stats::badFrames);
+            fn("requests_accepted", &Stats::requestsAccepted);
+            fn("requests_shed", &Stats::requestsShed);
+            fn("requests_shutdown", &Stats::requestsShutdown);
+            fn("requests_ok", &Stats::requestsOk);
+            fn("requests_failed", &Stats::requestsFailed);
+            fn("requests_timed_out", &Stats::requestsTimedOut);
+            fn("stats_requests", &Stats::statsRequests);
+            fn("served_from_cache", &Stats::servedFromCache);
+            if (clustered) {
+                fn("ring_epoch", &Stats::ringEpoch);
+                fn("ring_nodes", &Stats::ringNodes);
+                fn("ring_replication", &Stats::ringReplication);
+                fn("requests_not_owner", &Stats::requestsNotOwner);
+                fn("requests_redirected", &Stats::requestsRedirected);
+                fn("cluster_requests", &Stats::clusterRequests);
+                fn("ping_requests", &Stats::pingRequests);
+                fn("replication_sent", &Stats::replicationSent);
+                fn("replication_failed", &Stats::replicationFailed);
+                fn("replication_dropped", &Stats::replicationDropped);
+                fn("replication_stored", &Stats::replicationStored);
+                fn("replication_rejected", &Stats::replicationRejected);
+            }
+            fn("queue_depth", &Stats::queueDepth);
+            fn("queue_high_water", &Stats::queueHighWater);
+            fn("cache_", &Stats::cache);
+            fn("aggregate_cycles", &Stats::aggregateCycles);
+            fn("aggregate_instrs", &Stats::aggregateInstrs);
+            fn("cycles_per_sec", &Stats::cyclesPerSec);
         }
     };
 
@@ -153,7 +196,7 @@ class SimdServer {
     bool running() const { return running_; }
     u16 port() const { return port_; }
 
-    Stats statsSnapshot() const RFV_EXCLUDES(statsMu_, queueMu_);
+    Stats statsSnapshot() const RFV_EXCLUDES(queueMu_, clusterMu_);
 
     /** STATS response message (shared by the verb handler and tests). */
     Message statsMessage();
@@ -211,13 +254,12 @@ class SimdServer {
         std::atomic<bool> done{false};
     };
 
-    void acceptLoop() RFV_EXCLUDES(connMu_, statsMu_);
-    void executorLoop() RFV_EXCLUDES(queueMu_, statsMu_);
-    void serveConnection(Connection *conn) RFV_EXCLUDES(statsMu_);
+    void acceptLoop() RFV_EXCLUDES(connMu_);
+    void executorLoop() RFV_EXCLUDES(queueMu_);
+    void serveConnection(Connection *conn);
     bool handleRun(Connection *conn, const Message &msg)
-        RFV_EXCLUDES(queueMu_, statsMu_);
-    bool handleStore(Connection *conn, const Message &msg)
-        RFV_EXCLUDES(statsMu_);
+        RFV_EXCLUDES(queueMu_);
+    bool handleStore(Connection *conn, const Message &msg);
     void reapFinishedConnections() RFV_EXCLUDES(connMu_);
     void joinAllConnections() RFV_EXCLUDES(connMu_);
 
@@ -225,8 +267,8 @@ class SimdServer {
         RFV_EXCLUDES(clusterMu_);
     void enqueueReplication(const ServiceRequest &naming,
                             const SweepJobResult &res)
-        RFV_EXCLUDES(replMu_, statsMu_);
-    void replicatorLoop() RFV_EXCLUDES(replMu_, statsMu_);
+        RFV_EXCLUDES(replMu_);
+    void replicatorLoop() RFV_EXCLUDES(replMu_);
 
     ServerOptions opts_;
     SweepEngine engine_;
@@ -250,19 +292,14 @@ class SimdServer {
     CondVar queueCv_;
     std::deque<std::unique_ptr<PendingRequest>>
         queue_ RFV_GUARDED_BY(queueMu_);
+    u64 queueHighWater_ RFV_GUARDED_BY(queueMu_) = 0;
 
     // Connection registry.
     Mutex connMu_;
     std::vector<std::unique_ptr<Connection>>
         connections_ RFV_GUARDED_BY(connMu_);
 
-    // Counters (all under statsMu_; coarse is fine at request grain).
-    // Lock order: statsMu_ is innermost — handleRun and executorLoop
-    // nest it inside queueMu_, acceptLoop inside connMu_; declaring
-    // the edges lets -Wthread-safety-beta reject an ABBA inversion
-    // (statsSnapshot once took them in the opposite order).
-    mutable Mutex statsMu_ RFV_ACQUIRED_AFTER(queueMu_, connMu_);
-    Stats stats_ RFV_GUARDED_BY(statsMu_);
+    Stats stats_; //!< gauges unset: statsSnapshot() fills them
     std::chrono::steady_clock::time_point startTime_;
 
     // Cluster view.  Readers copy the shared_ptr under a short lock

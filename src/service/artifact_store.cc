@@ -15,8 +15,7 @@ ArtifactStore::inputProgram(const std::string &name,
             art->program = build();
             art->hash = hashProgram(art->program);
             return art;
-        },
-        programsBuilt_, programsReused_);
+        });
 }
 
 std::shared_ptr<const CompiledArtifact>
@@ -34,8 +33,7 @@ ArtifactStore::compiled(const std::shared_ptr<const InputArtifact> &input,
             art->kernel = compileKernel(input->program, opts);
             art->programHash = hashProgram(art->kernel.program);
             return art;
-        },
-        compilesBuilt_, compilesReused_);
+        });
 }
 
 std::shared_ptr<const VerifyResult>
@@ -46,8 +44,7 @@ ArtifactStore::verifyFor(const std::shared_ptr<const CompiledArtifact> &ck)
         [&]() -> std::shared_ptr<const VerifyResult> {
             return std::make_shared<VerifyResult>(
                 verifyReleaseSoundness(ck->kernel.program));
-        },
-        verifiesBuilt_, verifiesReused_);
+        });
 }
 
 std::shared_ptr<const DecodeArtifact>
@@ -65,29 +62,7 @@ ArtifactStore::decode(const std::shared_ptr<const CompiledArtifact> &ck,
         [&]() -> std::shared_ptr<const DecodeArtifact> {
             return std::make_shared<DecodeArtifact>(ck->kernel.program,
                                                     gpu);
-        },
-        decodesBuilt_, decodesReused_);
-}
-
-ArtifactStore::Stats
-ArtifactStore::stats() const
-{
-    Stats s;
-    // relaxed: monotonic statistics, read for reporting only — each
-    // load below is an independent counter snapshot.
-    const auto ld = [](const std::atomic<u64> &c) {
-        // relaxed: see above.
-        return c.load(std::memory_order_relaxed);
-    };
-    s.programsBuilt = ld(programsBuilt_);
-    s.programsReused = ld(programsReused_);
-    s.compilesBuilt = ld(compilesBuilt_);
-    s.compilesReused = ld(compilesReused_);
-    s.verifiesBuilt = ld(verifiesBuilt_);
-    s.verifiesReused = ld(verifiesReused_);
-    s.decodesBuilt = ld(decodesBuilt_);
-    s.decodesReused = ld(decodesReused_);
-    return s;
+        });
 }
 
 } // namespace rfv

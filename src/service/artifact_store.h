@@ -25,7 +25,6 @@
 #ifndef RFV_SERVICE_ARTIFACT_STORE_H
 #define RFV_SERVICE_ARTIFACT_STORE_H
 
-#include <atomic>
 #include <future>
 #include <memory>
 #include <string>
@@ -64,14 +63,28 @@ struct DecodeArtifact {
 class ArtifactStore {
   public:
     struct Stats {
-        u64 programsBuilt = 0;
-        u64 programsReused = 0;
-        u64 compilesBuilt = 0;
-        u64 compilesReused = 0;
-        u64 verifiesBuilt = 0;
-        u64 verifiesReused = 0;
-        u64 decodesBuilt = 0;
-        u64 decodesReused = 0;
+        Counter programsBuilt;
+        Counter programsReused;
+        Counter compilesBuilt;
+        Counter compilesReused;
+        Counter verifiesBuilt;
+        Counter verifiesReused;
+        Counter decodesBuilt;
+        Counter decodesReused;
+
+        template <class Fn>
+        static void
+        fields(Fn &&fn)
+        {
+            fn("programs_built", &Stats::programsBuilt);
+            fn("programs_reused", &Stats::programsReused);
+            fn("compiles_built", &Stats::compilesBuilt);
+            fn("compiles_reused", &Stats::compilesReused);
+            fn("verifies_built", &Stats::verifiesBuilt);
+            fn("verifies_reused", &Stats::verifiesReused);
+            fn("decodes_built", &Stats::decodesBuilt);
+            fn("decodes_reused", &Stats::decodesReused);
+        }
     };
 
     /** Assemble (via @p build) or reuse the input program for @p name. */
@@ -93,7 +106,7 @@ class ArtifactStore {
     decode(const std::shared_ptr<const CompiledArtifact> &ck,
            const GpuConfig &gpu);
 
-    Stats stats() const;
+    Stats stats() const { return stats_; }
 
   private:
     /**
@@ -104,10 +117,14 @@ class ArtifactStore {
     template <typename V>
     class Memo {
       public:
+        Memo(Counter &built, Counter &reused)
+            : built_(built), reused_(reused)
+        {
+        }
+
         std::shared_ptr<const V>
         getOrBuild(const std::string &key,
-                   const std::function<std::shared_ptr<const V>()> &build,
-                   std::atomic<u64> &built, std::atomic<u64> &reused)
+                   const std::function<std::shared_ptr<const V>()> &build)
         {
             std::shared_future<std::shared_ptr<const V>> fut;
             std::promise<std::shared_ptr<const V>> mine;
@@ -116,8 +133,7 @@ class ArtifactStore {
                 MutexLock lk(mu_);
                 auto it = map_.find(key);
                 if (it != map_.end()) {
-                    // relaxed: monotonic statistic.
-                    reused.fetch_add(1, std::memory_order_relaxed);
+                    ++reused_;
                     fut = it->second;
                 } else {
                     fut = mine.get_future().share();
@@ -126,8 +142,7 @@ class ArtifactStore {
                 }
             }
             if (builder) {
-                // relaxed: monotonic statistic.
-                built.fetch_add(1, std::memory_order_relaxed);
+                ++built_;
                 try {
                     mine.set_value(build());
                 } catch (...) {
@@ -138,21 +153,21 @@ class ArtifactStore {
         }
 
       private:
+        Counter &built_;
+        Counter &reused_;
         Mutex mu_;
         std::unordered_map<std::string,
                            std::shared_future<std::shared_ptr<const V>>>
             map_ RFV_GUARDED_BY(mu_);
     };
 
-    Memo<InputArtifact> inputs_;
-    Memo<CompiledArtifact> compiles_;
-    Memo<VerifyResult> verifies_;
-    Memo<DecodeArtifact> decodes_;
-
-    std::atomic<u64> programsBuilt_{0}, programsReused_{0};
-    std::atomic<u64> compilesBuilt_{0}, compilesReused_{0};
-    std::atomic<u64> verifiesBuilt_{0}, verifiesReused_{0};
-    std::atomic<u64> decodesBuilt_{0}, decodesReused_{0};
+    Stats stats_; //!< declared first: each Memo counts into two fields
+    Memo<InputArtifact> inputs_{stats_.programsBuilt, stats_.programsReused};
+    Memo<CompiledArtifact> compiles_{stats_.compilesBuilt,
+                                     stats_.compilesReused};
+    Memo<VerifyResult> verifies_{stats_.verifiesBuilt,
+                                 stats_.verifiesReused};
+    Memo<DecodeArtifact> decodes_{stats_.decodesBuilt, stats_.decodesReused};
 };
 
 } // namespace rfv

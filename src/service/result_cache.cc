@@ -420,8 +420,7 @@ ResultCache::lookup(const Hash128 &key)
             // never correctness.
             e.lastUse.store(tick_.fetch_add(1, std::memory_order_relaxed),
                             std::memory_order_relaxed);
-            // relaxed: monotonic statistic.
-            sh.memoryHits.fetch_add(1, std::memory_order_relaxed);
+            ++sh.counts.memoryHits;
             found = e.outcome;
         }
     }
@@ -429,16 +428,14 @@ ResultCache::lookup(const Hash128 &key)
         return *found;
 
     if (opts_.dir.empty()) {
-        // relaxed: monotonic statistic.
-        sh.misses.fetch_add(1, std::memory_order_relaxed);
+        ++sh.counts.misses;
         return std::nullopt;
     }
 
     // Disk tier: open/read/deserialize with no lock held at all.
     std::ifstream in(entryPath(hex), std::ios::binary);
     if (!in) {
-        // relaxed: monotonic statistic.
-        sh.misses.fetch_add(1, std::memory_order_relaxed);
+        ++sh.counts.misses;
         return std::nullopt;
     }
     std::shared_ptr<const RunOutcome> loaded;
@@ -450,15 +447,13 @@ ResultCache::lookup(const Hash128 &key)
         // Deleting it makes the next lookup a clean (cheap) miss and
         // the next store a clean republish.
         in.close();
-        // relaxed: monotonic statistics.
-        sh.badEntries.fetch_add(1, std::memory_order_relaxed);
-        sh.misses.fetch_add(1, std::memory_order_relaxed);
+        ++sh.counts.badEntries;
+        ++sh.counts.misses;
         std::error_code ec;
         std::filesystem::remove(entryPath(hex), ec);
         return std::nullopt;
     }
-    // relaxed: monotonic statistic.
-    sh.diskHits.fetch_add(1, std::memory_order_relaxed);
+    ++sh.counts.diskHits;
     admit(sh, hex, loaded); // promote back into the memory tier
     return *loaded;
 }
@@ -469,11 +464,10 @@ ResultCache::store(const Hash128 &key, const RunOutcome &outcome)
     const std::string hex = key.hex();
     Shard &sh = shardFor(key);
     auto sp = std::make_shared<const RunOutcome>(outcome);
-    // relaxed: monotonic statistic.
-    sh.stores.fetch_add(1, std::memory_order_relaxed);
+    ++sh.counts.stores;
     admit(sh, hex, sp);
     if (!opts_.dir.empty())
-        enqueuePublish(hex, std::move(sp));
+        enqueuePublish(sh, hex, std::move(sp));
 }
 
 void
@@ -504,8 +498,7 @@ ResultCache::eraseLocked(
 {
     sh.bytes -= it->second->bytes;
     sh.map.erase(it);
-    // relaxed: monotonic statistic.
-    sh.evictions.fetch_add(1, std::memory_order_relaxed);
+    ++sh.counts.evictions;
 }
 
 void
@@ -536,7 +529,7 @@ ResultCache::evictLocked(Shard &sh, const std::string &protect)
 }
 
 void
-ResultCache::enqueuePublish(const std::string &hex,
+ResultCache::enqueuePublish(Shard &sh, const std::string &hex,
                             std::shared_ptr<const RunOutcome> outcome)
 {
     {
@@ -548,9 +541,7 @@ ResultCache::enqueuePublish(const std::string &hex,
             // burst of stores from buffering unbounded serialized
             // state — the same backpressure discipline as the daemon's
             // admission queue.
-            //
-            // relaxed: monotonic statistic.
-            writeBehindDrops_.fetch_add(1, std::memory_order_relaxed);
+            ++sh.counts.writeBehindDrops;
             return;
         }
         pubQueue_.push_back({hex, std::move(outcome)});
@@ -634,26 +625,15 @@ ResultCache::Stats
 ResultCache::stats() const
 {
     Stats s;
-    for (const auto &shp : shards_) {
-        const Shard &sh = *shp;
-        ReaderLock lk(sh.mu);
-        // relaxed: monotonic statistics, aggregated for reporting;
-        // sh.bytes is the only field needing the (shared) lock.
-        s.memoryHits += sh.memoryHits.load(std::memory_order_relaxed);
-        s.diskHits += sh.diskHits.load(std::memory_order_relaxed);
-        s.misses += sh.misses.load(std::memory_order_relaxed);
-        s.stores += sh.stores.load(std::memory_order_relaxed);
-        s.badEntries += sh.badEntries.load(std::memory_order_relaxed);
-        s.evictions += sh.evictions.load(std::memory_order_relaxed);
-        s.memoryBytes += sh.bytes;
+    for (const auto &sh : shards_) {
+        Stats::fields([&](const char *, auto field) {
+            s.*field += sh->counts.*field;
+        });
+        ReaderLock lk(sh->mu);
+        s.memoryBytes += sh->bytes;
     }
-    {
-        MutexLock lk(pubMu_);
-        s.writeBehindDepth = pubQueue_.size() + (pubWriting_ ? 1 : 0);
-    }
-    // relaxed: monotonic statistic.
-    s.writeBehindDrops =
-        writeBehindDrops_.load(std::memory_order_relaxed);
+    MutexLock lk(pubMu_);
+    s.writeBehindDepth = pubQueue_.size() + (pubWriting_ ? 1 : 0);
     return s;
 }
 

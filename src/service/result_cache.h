@@ -81,15 +81,30 @@ struct ResultCacheOptions {
 class ResultCache {
   public:
     struct Stats {
-        u64 memoryHits = 0;
-        u64 diskHits = 0;
-        u64 misses = 0;
-        u64 stores = 0;
-        u64 badEntries = 0; //!< malformed disk entries, quarantined
-        u64 evictions = 0;  //!< entries demoted out of the memory tier
+        Counter memoryHits;
+        Counter diskHits;
+        Counter misses;
+        Counter stores;
+        Counter badEntries; //!< malformed disk entries, quarantined
+        Counter evictions;  //!< entries demoted out of the memory tier
         u64 memoryBytes = 0; //!< resident memory-tier footprint
         u64 writeBehindDepth = 0; //!< publish queue depth (snapshot)
-        u64 writeBehindDrops = 0; //!< publishes skipped, queue full
+        Counter writeBehindDrops; //!< publishes skipped, queue full
+
+        template <class Fn>
+        static void
+        fields(Fn &&fn)
+        {
+            fn("memory_hits", &Stats::memoryHits);
+            fn("disk_hits", &Stats::diskHits);
+            fn("misses", &Stats::misses);
+            fn("stores", &Stats::stores);
+            fn("bad_entries", &Stats::badEntries);
+            fn("evictions", &Stats::evictions);
+            fn("memory_bytes", &Stats::memoryBytes);
+            fn("write_behind_depth", &Stats::writeBehindDepth);
+            fn("write_behind_drops", &Stats::writeBehindDrops);
+        }
     };
 
     /** @p dir = "" keeps the cache in-memory only (no persistence). */
@@ -140,14 +155,10 @@ class ResultCache {
             map RFV_GUARDED_BY(mu);
         u64 bytes RFV_GUARDED_BY(mu) = 0; //!< resident payload bytes
 
-        // Counters bumped off the exclusive path (memory hits under a
-        // shared lock, disk-path counters under no shard lock at all).
-        std::atomic<u64> memoryHits{0};
-        std::atomic<u64> diskHits{0};
-        std::atomic<u64> misses{0};
-        std::atomic<u64> stores{0};
-        std::atomic<u64> badEntries{0};
-        std::atomic<u64> evictions{0};
+        // Per shard, not per cache: memory hits are counted under a
+        // shared lock by concurrent readers, and one counter set would
+        // put every hit on one cache line.  stats() sums the shards.
+        Stats counts;
     };
 
     struct PublishJob {
@@ -170,7 +181,7 @@ class ResultCache {
                                         std::unique_ptr<Entry>>::iterator
                          it) RFV_REQUIRES(sh.mu);
 
-    void enqueuePublish(const std::string &hex,
+    void enqueuePublish(Shard &sh, const std::string &hex,
                         std::shared_ptr<const RunOutcome> outcome)
         RFV_EXCLUDES(pubMu_);
     void publisherLoop() RFV_EXCLUDES(pubMu_);
@@ -192,7 +203,6 @@ class ResultCache {
     std::deque<PublishJob> pubQueue_ RFV_GUARDED_BY(pubMu_);
     bool pubWriting_ RFV_GUARDED_BY(pubMu_) = false;
     bool pubStop_ RFV_GUARDED_BY(pubMu_) = false;
-    std::atomic<u64> writeBehindDrops_{0};
 };
 
 } // namespace rfv

@@ -1,7 +1,9 @@
 #include "service/sweep.h"
 
 #include <chrono>
+#include <functional>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -27,9 +29,28 @@ cacheOptions(const SweepOptions &opts)
     ResultCacheOptions c;
     c.dir = opts.useCache ? opts.cacheDir : "";
     c.memoryBudgetBytes = opts.cacheMemoryBudget;
-    c.shards = opts.cacheShards;
-    c.writeBehindCapacity = opts.cacheWriteBehindDepth;
     return c;
+}
+
+/**
+ * One `label: name=value ...` line of @p s's scalar fields, then one
+ * such line per nested stats struct, labelled by its walk name.
+ */
+template <class S>
+void
+writeSummaryLines(std::ostream &os, const char *label, const S &s)
+{
+    std::ostringstream nested;
+    os << "\n" << label << ":";
+    S::fields([&](const char *name, auto field) {
+        const auto &v = std::invoke(field, s);
+        using V = std::decay_t<decltype(v)>;
+        if constexpr (std::is_class_v<V> && !std::is_same_v<V, Counter>)
+            writeSummaryLines(nested, name, v);
+        else
+            os << ' ' << name << '=' << v;
+    });
+    os << nested.str();
 }
 
 } // namespace
@@ -55,28 +76,8 @@ SweepStats::summary() const
         os << ", " << jobsFailed << " failed";
     if (jobsCancelled)
         os << ", " << jobsCancelled << " cancelled";
-    os << ")\n";
-    os << "artifacts: programs " << artifacts.programsBuilt << " built/"
-       << artifacts.programsReused << " reused, compiles "
-       << artifacts.compilesBuilt << "/" << artifacts.compilesReused
-       << ", verifies " << artifacts.verifiesBuilt << "/"
-       << artifacts.verifiesReused << ", decodes "
-       << artifacts.decodesBuilt << "/" << artifacts.decodesReused
-       << "\n";
-    os << "cache: " << cache.memoryHits << " memory hits, "
-       << cache.diskHits << " disk hits, " << cache.misses << " misses, "
-       << cache.stores << " stores";
-    if (cache.badEntries)
-        os << ", " << cache.badEntries << " bad entries";
-    os << "\n";
-    os << "cache tier: " << cache.memoryBytes << " bytes resident, "
-       << cache.evictions << " evictions, write-behind depth "
-       << cache.writeBehindDepth << ", drops "
-       << cache.writeBehindDrops << "\n";
-    os << "scheduler: " << steals << " steals, " << parks << " parks\n";
-    os << "throughput: " << aggregateCycles << " cycles, "
-       << aggregateInstrs << " instrs in " << wallSeconds << " s ("
-       << static_cast<u64>(cyclesPerSec()) << " cycles/s)";
+    os << ")";
+    writeSummaryLines(os, "counters", *this);
     return os.str();
 }
 

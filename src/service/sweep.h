@@ -70,17 +70,17 @@ void writeSweepCsv(std::ostream &os,
 
 /** Engine-level counters for one run() call. */
 struct SweepStats {
-    u64 jobsTotal = 0;
-    u64 jobsRun = 0;       //!< simulated live
-    u64 jobsCached = 0;    //!< replayed from the result cache
-    u64 jobsFailed = 0;    //!< finished with a structured error
-    u64 jobsCancelled = 0; //!< skipped because the sweep was interrupted
+    Counter jobsTotal;
+    Counter jobsRun;       //!< simulated live
+    Counter jobsCached;    //!< replayed from the result cache
+    Counter jobsFailed;    //!< finished with a structured error
+    Counter jobsCancelled; //!< skipped because the sweep was interrupted
     ArtifactStore::Stats artifacts;
     ResultCache::Stats cache;
-    u64 steals = 0; //!< jobs executed by a non-owning worker
-    u64 parks = 0;  //!< scheduler idle-parking events
-    u64 aggregateCycles = 0; //!< simulated cycles over all jobs
-    u64 aggregateInstrs = 0; //!< issued warp instructions over all jobs
+    Counter steals; //!< jobs executed by a non-owning worker
+    Counter parks;  //!< scheduler idle-parking events
+    Counter aggregateCycles; //!< simulated cycles over all jobs
+    Counter aggregateInstrs; //!< issued warp instructions over all jobs
     double wallSeconds = 0;
 
     double
@@ -102,10 +102,32 @@ struct SweepStats {
     double
     hitRate() const
     {
-        const u64 attempted = jobsTotal - std::min(jobsCancelled, jobsTotal);
+        const u64 attempted =
+            jobsTotal - std::min<u64>(jobsCancelled, jobsTotal);
         return attempted ? static_cast<double>(jobsCached) /
                                static_cast<double>(attempted)
                          : 0.0;
+    }
+
+    /** `run_sweep --json` order; the ratios are member functions. */
+    template <class Fn>
+    static void
+    fields(Fn &&fn)
+    {
+        fn("jobs_total", &SweepStats::jobsTotal);
+        fn("jobs_run", &SweepStats::jobsRun);
+        fn("jobs_cached", &SweepStats::jobsCached);
+        fn("jobs_failed", &SweepStats::jobsFailed);
+        fn("jobs_cancelled", &SweepStats::jobsCancelled);
+        fn("hit_rate", &SweepStats::hitRate);
+        fn("steals", &SweepStats::steals);
+        fn("parks", &SweepStats::parks);
+        fn("artifacts", &SweepStats::artifacts);
+        fn("cache", &SweepStats::cache);
+        fn("aggregate_cycles", &SweepStats::aggregateCycles);
+        fn("aggregate_instrs", &SweepStats::aggregateInstrs);
+        fn("wall_seconds", &SweepStats::wallSeconds);
+        fn("cycles_per_sec", &SweepStats::cyclesPerSec);
     }
 
     /** Human-readable multi-line block for CLI reports. */
@@ -124,12 +146,6 @@ struct SweepOptions {
 
     /** Memory-tier byte budget for the result cache (0 = unbounded). */
     u64 cacheMemoryBudget = 256ull << 20;
-
-    /** Lock-striped shard count (rounded up to a power of two). */
-    u32 cacheShards = 16;
-
-    /** Write-behind publish queue depth; overflow drops the publish. */
-    u32 cacheWriteBehindDepth = 256;
 
     /**
      * Cooperative interruption: when non-null and set, jobs that have
@@ -180,11 +196,7 @@ class SweepEngine {
 
     // NOTE on thread-safety: run() and stats() belong to one driving
     // thread (the CLI or a test); only execute() and prepare() are
-    // safe to call concurrently (the daemon's executors do).  stats_
-    // is therefore deliberately unguarded — the annotation rollout
-    // found a statsMu_ here that was declared but never locked, which
-    // was worse than no mutex: it documented a guarantee the code
-    // never provided.  The single-threaded contract is the real one.
+    // safe to call concurrently (the daemon's executors do).
 
     /** Resolve all shared artifacts for one job (thread-safe). */
     PreparedJob prepare(const SweepJob &job);
@@ -205,6 +217,7 @@ class SweepEngine {
 
     ArtifactStore &artifacts() { return store_; }
     ResultCache &results() { return cache_; }
+    const ResultCache &results() const { return cache_; }
 
   private:
     SweepJobResult runOne(const SweepJob &job);

@@ -419,6 +419,40 @@ TEST(Cluster, DarkClusterExhaustsTheDeadlineNotTheStack)
     EXPECT_GE(coordinator.statsSnapshot().deadlineExhausted, 1u);
 }
 
+TEST(Cluster, StatsKeysAreAWireContract)
+{
+    // A clustered node lists the standalone keys plus the ring and the
+    // cluster traffic, right after served_from_cache.
+    Cluster3 cluster;
+    std::vector<std::string> keys;
+    for (const auto &[key, value] :
+         cluster.servers[0]->statsMessage().fields)
+        keys.push_back(key);
+    const std::vector<std::string> expected{
+        "sim_version",          "proto_version",
+        "uptime_seconds",       "connections_accepted",
+        "connections_rejected", "connections_reaped",
+        "bad_frames",           "requests_accepted",
+        "requests_shed",        "requests_shutdown",
+        "requests_ok",          "requests_failed",
+        "requests_timed_out",   "stats_requests",
+        "served_from_cache",    "ring_epoch",
+        "ring_nodes",           "ring_replication",
+        "requests_not_owner",   "requests_redirected",
+        "cluster_requests",     "ping_requests",
+        "replication_sent",     "replication_failed",
+        "replication_dropped",  "replication_stored",
+        "replication_rejected", "queue_depth",
+        "queue_high_water",     "cache_memory_hits",
+        "cache_disk_hits",      "cache_misses",
+        "cache_stores",         "cache_bad_entries",
+        "cache_evictions",      "cache_memory_bytes",
+        "cache_write_behind_depth", "cache_write_behind_drops",
+        "aggregate_cycles",     "aggregate_instrs",
+        "cycles_per_sec"};
+    EXPECT_EQ(keys, expected);
+}
+
 TEST(Cluster, StatsAllSkipsDeadNodes)
 {
     Cluster3 cluster;

@@ -71,6 +71,40 @@ counter(SimdServer &server, const std::string &key)
     return v;
 }
 
+/** The keys of one STATS response, in wire order. */
+std::vector<std::string>
+statsKeys(SimdServer &server)
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : server.statsMessage().fields)
+        keys.push_back(key);
+    return keys;
+}
+
+TEST(SimdService, StatsKeysAreAWireContract)
+{
+    // CI's awk checks, simd_client --stats readers and perfbench look
+    // these names up; a standalone server lists no cluster keys.
+    SimdServer server(ServerOptions{});
+    const std::vector<std::string> expected{
+        "sim_version",          "proto_version",
+        "uptime_seconds",       "connections_accepted",
+        "connections_rejected", "connections_reaped",
+        "bad_frames",           "requests_accepted",
+        "requests_shed",        "requests_shutdown",
+        "requests_ok",          "requests_failed",
+        "requests_timed_out",   "stats_requests",
+        "served_from_cache",    "queue_depth",
+        "queue_high_water",     "cache_memory_hits",
+        "cache_disk_hits",      "cache_misses",
+        "cache_stores",         "cache_bad_entries",
+        "cache_evictions",      "cache_memory_bytes",
+        "cache_write_behind_depth", "cache_write_behind_drops",
+        "aggregate_cycles",     "aggregate_instrs",
+        "cycles_per_sec"};
+    EXPECT_EQ(statsKeys(server), expected);
+}
+
 TEST(SimdService, ServedResultIsBitIdenticalToLocalRun)
 {
     TempCacheDir dir;

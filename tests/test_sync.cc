@@ -162,6 +162,39 @@ TEST(Sync, DefaultThreadIsNotJoinable)
     EXPECT_FALSE(t.joinable());
 }
 
+TEST(Sync, CounterSumsConcurrentIncrementsAndCopiesAsASnapshot)
+{
+    constexpr u32 kThreads = 8;
+    constexpr u32 kIters = 20000;
+    Counter counter;
+    u64 midRun = 0;
+    {
+        std::vector<Thread> threads;
+        for (u32 t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&counter, t] {
+                for (u32 i = 0; i < kIters; ++i) {
+                    if (t % 2)
+                        counter += 2;
+                    else
+                        ++counter;
+                }
+            });
+        }
+        const Counter copy = counter; // taken while the threads run
+        midRun = copy;
+    } // Thread joins on destruction
+
+    const u64 total = (kThreads / 2) * kIters * 3;
+    EXPECT_EQ(static_cast<u64>(counter), total);
+    EXPECT_LE(midRun, total);
+
+    Counter snapshot;
+    snapshot = counter;
+    ++counter;
+    EXPECT_EQ(static_cast<u64>(snapshot), total);
+    EXPECT_EQ(static_cast<u64>(counter), total + 1);
+}
+
 TEST(Sync, HardwareConcurrencyIsAtLeastOne)
 {
     EXPECT_GE(hardwareConcurrency(), 1u);
