@@ -37,9 +37,8 @@ meanCycles(const BenchArgs &args, const Variant &v,
         const auto launch = w->scaledLaunch(args.numSms, args.rounds);
         GlobalMemory mem(w->memoryBytes(launch));
         w->setup(mem, launch);
-        CompileOptions copts = sim.compileOptions(
-            launch.warpsPerCta() *
-            std::min(launch.concCtasPerSm, gpu.maxCtasPerSm));
+        CompileOptions copts =
+            sim.compileOptions(sim.residentWarps(launch));
         const auto ck = compileKernel(w->buildKernel(), copts);
         Gpu machine(gpu, ck.program, launch, mem);
         const auto res = machine.run();

@@ -5,9 +5,12 @@
  * `std::shared_mutex`, `std::condition_variable` or `std::thread`
  * (enforced by tools/lint/concurrency_lint.py).
  *
- * Every lock in the concurrent core (WorkStealingPool, ResultCache,
- * ArtifactStore, SimdServer) is one of these wrappers, and every field
- * a lock guards is annotated with RFV_GUARDED_BY.  Under Clang,
+ * Every lock in the concurrent core (WorkStealingPool, WorkQueue,
+ * the ResultCache shards, ArtifactStore, SimdServer's cluster view and
+ * connection registry) is one of these wrappers, and every field a
+ * lock guards is annotated with RFV_GUARDED_BY.  Condition variables
+ * live only in src/common/: the daemon and the cache hand work to
+ * threads through WorkQueue (common/thread_pool.h).  Under Clang,
  * `-Wthread-safety -Wthread-safety-beta` (promoted to errors by the
  * RFV_THREAD_SAFETY CMake option and the thread-safety CI job) then
  * *proves* the lock discipline at compile time: an unguarded access

@@ -4,10 +4,7 @@
 
 namespace rfv {
 
-Simulator::Simulator(RunConfig cfg, EnergyParams energy)
-    : cfg_(std::move(cfg)), energyParams_(energy)
-{
-}
+Simulator::Simulator(RunConfig cfg) : cfg_(std::move(cfg)) {}
 
 GpuConfig
 Simulator::gpuConfig() const
@@ -42,12 +39,18 @@ Simulator::compileOptions(u32 resident_warps) const
 }
 
 u32
+Simulator::residentWarps(const LaunchParams &launch) const
+{
+    return launch.warpsPerCta() *
+           std::min(launch.concCtasPerSm, gpuConfig().maxCtasPerSm);
+}
+
+u32
 Simulator::spillBudget(u32 kernel_regs, const LaunchParams &launch) const
 {
     const GpuConfig gpu = gpuConfig();
     const u32 per_bank = gpu.regFile.regsPerBank();
-    const u32 warps = launch.warpsPerCta() *
-                      std::min(launch.concCtasPerSm, gpu.maxCtasPerSm);
+    const u32 warps = residentWarps(launch);
     // Largest R with warps * ceil(R/banks) <= regsPerBank.
     for (u32 r = kernel_regs; r >= 4; --r) {
         const u32 per_bank_need =
@@ -63,11 +66,7 @@ Simulator::runProgram(const Program &input, const LaunchParams &launch,
                       GlobalMemory &mem, TraceHooks hooks) const
 {
     const GpuConfig gpu = gpuConfig();
-    const u32 resident =
-        launch.warpsPerCta() *
-        std::min(launch.concCtasPerSm, gpu.maxCtasPerSm);
-
-    CompileOptions copts = compileOptions(resident);
+    CompileOptions copts = compileOptions(residentWarps(launch));
     if (cfg_.compilerSpill)
         copts.spillRegBudget = spillBudget(input.numRegs, launch);
 
@@ -91,7 +90,7 @@ Simulator::runProgram(const Program &input, const LaunchParams &launch,
     out.sim = machine.run();
     out.loop = machine.loopStats();
 
-    EnergyParams ep = energyParams_;
+    EnergyParams ep;
     ep.clockGhz = gpu.clockGhz;
     out.energy = computeEnergy(out.sim, gpu, ep);
     return out;

@@ -50,7 +50,7 @@ struct RunOutcome {
  */
 class Simulator {
   public:
-    explicit Simulator(RunConfig cfg, EnergyParams energy = {});
+    explicit Simulator(RunConfig cfg);
 
     const RunConfig &config() const { return cfg_; }
 
@@ -62,6 +62,14 @@ class Simulator {
      * @p residentWarps warp contexts per SM.
      */
     CompileOptions compileOptions(u32 residentWarps) const;
+
+    /**
+     * Warp contexts per SM the compiler plans @p launch for: warps per
+     * CTA times the CTAs an SM holds at once.  (The SM's own slot
+     * count also caps by maxWarpsPerSm; compiled programs key on this
+     * one.)
+     */
+    u32 residentWarps(const LaunchParams &launch) const;
 
     /** Run a registered workload (scaled launch, setup + verify). */
     RunOutcome runWorkload(const Workload &workload,
@@ -81,7 +89,6 @@ class Simulator {
 
   private:
     RunConfig cfg_;
-    EnergyParams energyParams_;
 };
 
 } // namespace rfv

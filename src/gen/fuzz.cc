@@ -123,6 +123,29 @@ judgeMutation(SweepEngine &engine, const GenSpec &spec,
     return MutationVerdict::kBenign;
 }
 
+/**
+ * The failure text of a mutation verdict, or nullopt when it passes.
+ * @p detail names the injected fault.  Corpus `caught` entries
+ * (@p expectCaught) pin *detection*, not mere absence of corruption:
+ * a fault that degrades to benign means the detector regressed.
+ */
+std::optional<std::string>
+mutationFailure(MutationVerdict v, const std::string &detail,
+                bool expectCaught)
+{
+    if (v == MutationVerdict::kNoMetadata)
+        return std::string("mutation oracle needs release "
+                           "metadata (virtualized config)");
+    if (v == MutationVerdict::kSilent)
+        return "SILENT corruption: injected release-flag fault " + detail +
+               " produced wrong output with no static or "
+               "runtime detection";
+    if (expectCaught && v == MutationVerdict::kBenign)
+        return "injected release-flag fault " + detail +
+               " is no longer detected (was expect=caught)";
+    return std::nullopt;
+}
+
 FuzzFailure
 makeFailure(const FuzzScenario &sc, FuzzOracle oracle,
             std::string detail)
@@ -214,21 +237,7 @@ runOracle(SweepEngine &engine, const GenSpec &spec,
         std::string detail;
         const MutationVerdict v = judgeMutation(
             engine, spec, config, mutationIndex, &detail);
-        if (v == MutationVerdict::kNoMetadata)
-            return std::string("mutation oracle needs release "
-                               "metadata (virtualized config)");
-        if (v == MutationVerdict::kSilent)
-            return "SILENT corruption: injected release-flag fault " +
-                   detail +
-                   " produced wrong output with no static or "
-                   "runtime detection";
-        // Corpus `caught` entries pin *detection*, not mere absence
-        // of corruption: a fault that degrades to benign means the
-        // detector regressed.
-        if (expectCaught && v == MutationVerdict::kBenign)
-            return "injected release-flag fault " + detail +
-                   " is no longer detected (was expect=caught)";
-        return std::nullopt;
+        return mutationFailure(v, detail, expectCaught);
       }
     }
     return std::string("unknown oracle");
@@ -317,17 +326,9 @@ checkScenario(SweepEngine &engine, const FuzzScenario &sc,
         std::string detail;
         const MutationVerdict v = judgeMutation(
             engine, sc.spec, sc.config, sc.mutationIndex, &detail);
-        if (v == MutationVerdict::kNoMetadata)
+        if (auto failure = mutationFailure(v, detail, false))
             return makeFailure(sc, FuzzOracle::kMutation,
-                               "mutation oracle needs release metadata "
-                               "(virtualized config)");
-        if (v == MutationVerdict::kSilent)
-            return makeFailure(
-                sc, FuzzOracle::kMutation,
-                "SILENT corruption: injected release-flag fault " +
-                    detail +
-                    " produced wrong output with no static or runtime "
-                    "detection");
+                               std::move(*failure));
         if (report) {
             if (v == MutationVerdict::kBenign)
                 ++report->mutationsBenign;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <sstream>
 #include <type_traits>
 
@@ -55,20 +54,21 @@ SimdServer::start()
     startTime_ = std::chrono::steady_clock::now();
     draining_ = false;
     closing_ = false;
-    running_ = true;
+    // The peer sessions live in the worker's closure: one worker, so
+    // no lock, and they close when stop() destroys the queue.
+    replicator_.emplace(1, kReplicationQueueDepth,
+                        [this, peers = std::make_shared<PeerMap>()](
+                            ReplicationItem &item) {
+                            replicate(item, *peers);
+                        });
+    admission_.emplace(opts_.executors, opts_.queueCapacity,
+                       [this](std::unique_ptr<PendingRequest> &pending) {
+                           execute(*pending);
+                       });
+    running_ = true; // stop() now finds both queues
 
     if (opts_.cluster.enabled())
         configureCluster(opts_.cluster);
-    {
-        MutexLock lk(replMu_);
-        replDraining_ = false;
-    }
-
-    const u32 executors = std::max<u32>(1, opts_.executors);
-    executors_.reserve(executors);
-    for (u32 i = 0; i < executors; ++i)
-        executors_.emplace_back([this] { executorLoop(); });
-    replThread_ = Thread([this] { replicatorLoop(); });
     acceptThread_ = Thread([this] { acceptLoop(); });
 }
 
@@ -92,34 +92,23 @@ SimdServer::stop()
     // writes fd_ = -1 while Listener::accept() reads it.  TSan caught
     // this once the service suites ran under the tsan preset.)
     // Connections stay up for now: new RUNs are refused with
-    // SHUTTING_DOWN (handleRun checks draining_ under the queue lock)
-    // while admitted jobs keep executing.
+    // SHUTTING_DOWN (handleRun checks draining_, and the admission
+    // queue refuses once closed) while admitted jobs keep executing.
     draining_ = true;
-    queueCv_.notifyAll();
     if (acceptThread_.joinable())
         acceptThread_.join();
     listener_->close();
 
     // Phase 2: executors drain the admitted queue and exit.  Every
-    // admitted job's promise is fulfilled before this join returns, so
+    // admitted job's promise is fulfilled before close() returns, so
     // connection threads blocked on an in-flight result are released.
-    queueCv_.notifyAll();
-    for (Thread &t : executors_)
-        if (t.joinable())
-            t.join();
-    executors_.clear();
+    admission_->close();
 
     // Phase 2.5: flush the replication queue.  Executors are done, so
     // nothing enqueues anymore; pushing the backlog now (peers may be
     // draining too — failures are counted and dropped) keeps a rolling
     // cluster restart from losing the freshest results.
-    {
-        MutexLock lk(replMu_);
-        replDraining_ = true;
-    }
-    replCv_.notifyAll();
-    if (replThread_.joinable())
-        replThread_.join();
+    replicator_.reset();
 
     // Phase 3: nothing is in flight anymore — drop the connections.
     closing_ = true;
@@ -186,106 +175,56 @@ SimdServer::ringSnapshot() const
 // ---- replication -------------------------------------------------------
 
 void
-SimdServer::enqueueReplication(const ServiceRequest &naming,
-                               const SweepJobResult &res)
+SimdServer::replicate(const ReplicationItem &item, PeerMap &peers)
 {
-    bool dropped = false;
-    {
-        MutexLock lk(replMu_);
-        if (replQueue_.size() >= kReplicationQueueDepth ||
-            replDraining_) {
-            dropped = true;
-        } else {
-            ReplicationItem item;
-            item.naming = naming;
-            item.job = res.job;
-            item.keyHex = res.key;
-            item.outcome = res.outcome;
-            replQueue_.push_back(std::move(item));
-        }
-    }
-    if (dropped) {
-        ++stats_.replicationDropped;
+    // Peer sessions are created on first use, reconnected on demand
+    // by SimdClient, discarded on failure.
+    const auto state = clusterState();
+    if (!state)
         return;
+
+    Hash128 rkey;
+    try {
+        rkey = routingKey(item.job.workload, item.job.config);
+    } catch (const std::exception &) {
+        return; // cannot route an unroutable config
     }
-    replCv_.notifyOne();
-}
+    std::string blob;
+    {
+        std::ostringstream os;
+        ResultCache::serialize(os, item.outcome);
+        blob = os.str();
+    }
+    const Message store = encodeStoreRequest(item.naming, item.keyHex, blob);
 
-void
-SimdServer::replicatorLoop()
-{
-    // Peer sessions are owned by this thread alone: created on first
-    // use, reconnected on demand by SimdClient, discarded on failure.
-    std::map<std::string, std::unique_ptr<SimdClient>> peers;
-
-    for (;;) {
-        ReplicationItem item;
-        {
-            MutexLock lk(replMu_);
-            while (replQueue_.empty() && !replDraining_) {
-                replBusy_ = false;
-                replCv_.notifyAll(); // wake drainReplication waiters
-                replCv_.wait(lk);
-            }
-            if (replQueue_.empty()) {
-                replBusy_ = false;
-                replCv_.notifyAll();
-                return; // draining and drained
-            }
-            item = std::move(replQueue_.front());
-            replQueue_.pop_front();
-            replBusy_ = true;
-        }
-
-        const auto state = clusterState();
-        if (!state)
+    for (const u32 ownerIndex : state->ring.ownersFor(rkey)) {
+        const std::string endpoint =
+            state->ring.nodes()[ownerIndex].endpoint();
+        if (endpoint == state->self)
             continue;
-
-        Hash128 rkey;
-        try {
-            rkey = routingKey(item.job.workload, item.job.config);
-        } catch (const std::exception &) {
-            continue; // cannot route an unroutable config
+        std::unique_ptr<SimdClient> &peer = peers[endpoint];
+        if (!peer) {
+            RingNode node;
+            std::string parseError;
+            if (!parseEndpoint(endpoint, node, parseError))
+                continue; // ring admits only parsable endpoints
+            ClientOptions copts;
+            copts.host = node.host;
+            copts.port = node.port;
+            copts.connectTimeoutMs = 2000;
+            copts.responseTimeoutMs = 10000;
+            peer = std::make_unique<SimdClient>(copts);
         }
-        std::string blob;
-        {
-            std::ostringstream os;
-            ResultCache::serialize(os, item.outcome);
-            blob = os.str();
-        }
-        const Message store =
-            encodeStoreRequest(item.naming, item.keyHex, blob);
-
-        for (const u32 ownerIndex : state->ring.ownersFor(rkey)) {
-            const std::string endpoint =
-                state->ring.nodes()[ownerIndex].endpoint();
-            if (endpoint == state->self)
-                continue;
-            std::unique_ptr<SimdClient> &peer = peers[endpoint];
-            if (!peer) {
-                RingNode node;
-                std::string parseError;
-                if (!parseEndpoint(endpoint, node, parseError))
-                    continue; // ring admits only parsable endpoints
-                ClientOptions copts;
-                copts.host = node.host;
-                copts.port = node.port;
-                copts.connectTimeoutMs = 2000;
-                copts.responseTimeoutMs = 10000;
-                peer = std::make_unique<SimdClient>(copts);
-            }
-            Message ack;
-            std::string error;
-            const bool sent =
-                peer->request(store, ack, error) ==
-                    ServiceStatus::kOk &&
-                ack.verb == kVerbStored && ack.get("stored") == "1";
-            if (sent) {
-                ++stats_.replicationSent;
-            } else {
-                ++stats_.replicationFailed;
-                peer->disconnect(); // force a clean reconnect next time
-            }
+        Message ack;
+        std::string error;
+        const bool sent =
+            peer->request(store, ack, error) == ServiceStatus::kOk &&
+            ack.verb == kVerbStored && ack.get("stored") == "1";
+        if (sent) {
+            ++stats_.replicationSent;
+        } else {
+            ++stats_.replicationFailed;
+            peer->disconnect(); // force a clean reconnect next time
         }
     }
 }
@@ -293,9 +232,8 @@ SimdServer::replicatorLoop()
 void
 SimdServer::drainReplication()
 {
-    MutexLock lk(replMu_);
-    while (!replQueue_.empty() || replBusy_)
-        replCv_.wait(lk);
+    if (replicator_)
+        replicator_->drain();
 }
 
 bool
@@ -632,31 +570,17 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
         deadlineMs >= 0 ? deadlineAfterMs(deadlineMs) : std::nullopt;
 
     // Admission control: a full queue sheds the request immediately —
-    // never an unbounded queue, never a blocked connection.
+    // never an unbounded queue, never a blocked connection.  A push the
+    // queue accepts is guaranteed an executor, even if stop() closes
+    // the queue right after; once draining_ is set nothing is pushed.
     auto pending = std::make_unique<PendingRequest>();
     pending->job = std::move(job);
     pending->naming = std::move(req);
     pending->deadline = deadline;
     std::future<SweepJobResult> future = pending->promise.get_future();
-    bool drainRefused = false, shed = false;
-    {
-        MutexLock lk(queueMu_);
-        // Checked under queueMu_: the executors decide to exit under
-        // the same lock (draining_ && empty queue), so a job admitted
-        // here is guaranteed an executor that will run it.  The reply
-        // itself happens after the lock is released — a slow socket
-        // must not stall admissions.
-        if (draining_) {
-            drainRefused = true;
-        } else if (queue_.size() >= opts_.queueCapacity) {
-            shed = true;
-        } else {
-            queue_.push_back(std::move(pending));
-            ++stats_.requestsAccepted;
-            queueHighWater_ = std::max<u64>(queueHighWater_, queue_.size());
-        }
-    }
-    if (drainRefused) {
+    const QueuePush admitted =
+        draining_ ? QueuePush::kClosed : admission_->push(std::move(pending));
+    if (admitted == QueuePush::kClosed) {
         // A draining cluster node knows who else can serve the key:
         // answer REDIRECT with the surviving replicas so the client
         // re-dispatches in one hop instead of blindly retrying.
@@ -670,14 +594,14 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
         return reply(makeErrorResult(ServiceStatus::kShuttingDown,
                                      "server is draining"));
     }
-    if (shed) {
+    if (admitted == QueuePush::kFull) {
         ++stats_.requestsShed;
         return reply(makeErrorResult(
             ServiceStatus::kRetryLater,
             "admission queue full (" +
                 std::to_string(opts_.queueCapacity) + " pending)"));
     }
-    queueCv_.notifyOne();
+    ++stats_.requestsAccepted;
 
     // Wait for the executor.  On client-deadline expiry the request is
     // answered DEADLINE_EXCEEDED; the job itself still completes on
@@ -710,52 +634,35 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
 // ---- executors ---------------------------------------------------------
 
 void
-SimdServer::executorLoop()
+SimdServer::execute(PendingRequest &pending)
 {
-    for (;;) {
-        std::unique_ptr<PendingRequest> pending;
-        {
-            MutexLock lk(queueMu_);
-            // While-loop (not a predicate lambda): queue_ is guarded
-            // by queueMu_, and the analysis cannot see a lambda's
-            // body holding the caller's capability.
-            while (queue_.empty() && !draining_.load())
-                queueCv_.wait(lk);
-            if (queue_.empty()) {
-                if (draining_)
-                    return; // drained: queue is empty and stays empty
-                continue;
-            }
-            pending = std::move(queue_.front());
-            queue_.pop_front();
-        }
+    if (opts_.executeHook)
+        opts_.executeHook();
 
-        if (opts_.executeHook)
-            opts_.executeHook();
-
-        // A request that died of old age in the queue is not worth
-        // simulating: its connection has already answered (or is about
-        // to).  Skipping it keeps a backlog from wasting executor time
-        // on results nobody will read.
-        if (pending->deadline &&
-            std::chrono::steady_clock::now() > *pending->deadline) {
-            SweepJobResult res;
-            res.job = pending->job;
-            res.status = ServiceStatus::kDeadlineExceeded;
-            res.error = "deadline expired before execution started";
-            pending->promise.set_value(std::move(res));
-            continue;
-        }
-
-        SweepJobResult res = engine_.execute(pending->job);
-        // Freshly computed results fan out to the key's other owners
-        // (bounded queue, best effort) so a failover target usually
-        // answers the re-dispatched job from its warmed cache instead
-        // of re-simulating.
-        if (clustered_ && res.ok() && !res.fromCache)
-            enqueueReplication(pending->naming, res);
-        pending->promise.set_value(std::move(res));
+    // A request that died of old age in the queue is not worth
+    // simulating: its connection has already answered (or is about
+    // to).  Skipping it keeps a backlog from wasting executor time on
+    // results nobody will read.
+    if (pending.deadline &&
+        std::chrono::steady_clock::now() > *pending.deadline) {
+        SweepJobResult res;
+        res.job = pending.job;
+        res.status = ServiceStatus::kDeadlineExceeded;
+        res.error = "deadline expired before execution started";
+        pending.promise.set_value(std::move(res));
+        return;
     }
+
+    SweepJobResult res = engine_.execute(pending.job);
+    // Freshly computed results fan out to the key's other owners
+    // (bounded queue, best effort) so a failover target usually
+    // answers the re-dispatched job from its warmed cache instead of
+    // re-simulating.
+    if (clustered_ && res.ok() && !res.fromCache &&
+        replicator_->push({pending.naming, res.job, res.key,
+                           res.outcome}) != QueuePush::kAccepted)
+        ++stats_.replicationDropped;
+    pending.promise.set_value(std::move(res));
 }
 
 // ---- stats -------------------------------------------------------------
@@ -773,10 +680,10 @@ SimdServer::statsSnapshot() const
         s.ringNodes = state->ring.nodes().size();
         s.ringReplication = state->ring.replication();
     }
-    {
-        MutexLock lk(queueMu_);
-        s.queueDepth = queue_.size();
-        s.queueHighWater = queueHighWater_;
+    if (admission_) {
+        const auto g = admission_->gauges();
+        s.queueDepth = g.queued;
+        s.queueHighWater = g.highWater;
     }
     s.cache = engine_.results().stats();
     return s;

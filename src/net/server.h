@@ -29,20 +29,23 @@
 #ifndef RFV_NET_SERVER_H
 #define RFV_NET_SERVER_H
 
-#include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/socket.h"
 #include "common/sync.h"
+#include "common/thread_pool.h"
 #include "net/cluster_ring.h"
 #include "net/protocol.h"
 #include "service/sweep.h"
 
 namespace rfv {
+
+class SimdClient;
 
 /**
  * Static cluster membership for one node.  Every node of a cluster
@@ -196,7 +199,7 @@ class SimdServer {
     bool running() const { return running_; }
     u16 port() const { return port_; }
 
-    Stats statsSnapshot() const RFV_EXCLUDES(queueMu_, clusterMu_);
+    Stats statsSnapshot() const RFV_EXCLUDES(clusterMu_);
 
     /** STATS response message (shared by the verb handler and tests). */
     Message statsMessage();
@@ -222,9 +225,10 @@ class SimdServer {
     /**
      * Block until every queued replication push has been attempted
      * (tests assert a peer's cache warmed; returns immediately when
-     * standalone).
+     * standalone or stopped).  Call while the server runs, not
+     * concurrently with stop().
      */
-    void drainReplication() RFV_EXCLUDES(replMu_);
+    void drainReplication();
 
   private:
     struct PendingRequest {
@@ -248,6 +252,9 @@ class SimdServer {
         RunOutcome outcome;
     };
 
+    /** Replica sessions by endpoint, owned by the replicator worker. */
+    using PeerMap = std::map<std::string, std::unique_ptr<SimdClient>>;
+
     struct Connection {
         Socket sock;
         Thread thread;
@@ -255,20 +262,19 @@ class SimdServer {
     };
 
     void acceptLoop() RFV_EXCLUDES(connMu_);
-    void executorLoop() RFV_EXCLUDES(queueMu_);
     void serveConnection(Connection *conn);
-    bool handleRun(Connection *conn, const Message &msg)
-        RFV_EXCLUDES(queueMu_);
+    bool handleRun(Connection *conn, const Message &msg);
     bool handleStore(Connection *conn, const Message &msg);
     void reapFinishedConnections() RFV_EXCLUDES(connMu_);
     void joinAllConnections() RFV_EXCLUDES(connMu_);
 
+    /** Admission work: run one admitted request on an executor. */
+    void execute(PendingRequest &pending);
+
     std::shared_ptr<const ClusterState> clusterState() const
         RFV_EXCLUDES(clusterMu_);
-    void enqueueReplication(const ServiceRequest &naming,
-                            const SweepJobResult &res)
-        RFV_EXCLUDES(replMu_);
-    void replicatorLoop() RFV_EXCLUDES(replMu_);
+    /** Replicator work: push one outcome to the key's other owners. */
+    void replicate(const ReplicationItem &item, PeerMap &peers);
 
     ServerOptions opts_;
     SweepEngine engine_;
@@ -283,16 +289,6 @@ class SimdServer {
     Mutex lifecycleMu_;
 
     Thread acceptThread_;
-    std::vector<Thread> executors_;
-
-    // Admission queue.  Refuse-vs-admit is decided under queueMu_:
-    // the executors decide to exit under the same lock (draining_ &&
-    // empty queue), so a job admitted here always has an executor.
-    mutable Mutex queueMu_;
-    CondVar queueCv_;
-    std::deque<std::unique_ptr<PendingRequest>>
-        queue_ RFV_GUARDED_BY(queueMu_);
-    u64 queueHighWater_ RFV_GUARDED_BY(queueMu_) = 0;
 
     // Connection registry.
     Mutex connMu_;
@@ -311,16 +307,22 @@ class SimdServer {
         cluster_ RFV_GUARDED_BY(clusterMu_);
     std::atomic<bool> clustered_{false};
 
-    // Replication push queue (bounded, drop-on-overflow): executors
-    // enqueue live outcomes, one replicator thread pushes them to the
-    // key's other owners.  Best effort by design — a replica that
-    // missed a push simply recomputes on failover, bit-identically.
-    mutable Mutex replMu_;
-    CondVar replCv_;
-    std::deque<ReplicationItem> replQueue_ RFV_GUARDED_BY(replMu_);
-    bool replBusy_ RFV_GUARDED_BY(replMu_) = false;
-    bool replDraining_ RFV_GUARDED_BY(replMu_) = false;
-    Thread replThread_;
+    // The two queues are built by start() and declared last, so their
+    // workers are joined before any field they use is destroyed; the
+    // admission queue, whose executors push replications, goes first.
+    //
+    // Replication (bounded, drop-on-overflow): executors push live
+    // outcomes, one worker sends them to the key's other owners.  Best
+    // effort by design — a replica that missed a push simply
+    // recomputes on failover, bit-identically.  stop() flushes and
+    // destroys it, which closes the peer sessions.
+    std::optional<WorkQueue<ReplicationItem>> replicator_;
+
+    // Admission: opts_.executors workers.  A job it accepts always has
+    // an executor (close() runs the backlog), so a RUN is either
+    // refused with SHUTTING_DOWN or answered.  stop() closes it but
+    // keeps it for the STATS gauges.
+    std::optional<WorkQueue<std::unique_ptr<PendingRequest>>> admission_;
 };
 
 } // namespace rfv

@@ -368,22 +368,9 @@ ResultCache::ResultCache(ResultCacheOptions opts) : opts_(std::move(opts))
         budgetPerShard_ = std::max<u64>(opts_.memoryBudgetBytes / n, 1);
     if (!opts_.dir.empty()) {
         std::filesystem::create_directories(opts_.dir);
-        publisher_ = Thread([this] { publisherLoop(); });
+        publisher_.emplace(1, opts_.writeBehindCapacity,
+                           [this](PublishJob &job) { publishOne(job); });
     }
-}
-
-ResultCache::~ResultCache()
-{
-    if (!publisher_.joinable())
-        return;
-    {
-        MutexLock lk(pubMu_);
-        pubStop_ = true;
-    }
-    // The publisher drains the remaining queue before honouring the
-    // stop flag, so every admitted publish survives shutdown.
-    pubCv_.notifyAll();
-    publisher_.join();
 }
 
 ResultCache::Shard &
@@ -466,8 +453,14 @@ ResultCache::store(const Hash128 &key, const RunOutcome &outcome)
     auto sp = std::make_shared<const RunOutcome>(outcome);
     ++sh.counts.stores;
     admit(sh, hex, sp);
-    if (!opts_.dir.empty())
-        enqueuePublish(sh, hex, std::move(sp));
+    // Shedding a publish when the queue is full is safe: the entry is
+    // resident in the memory tier, and if it gets demoted before a
+    // reuse the job simply re-simulates.  Bounding the queue keeps a
+    // burst of stores from buffering unbounded serialized state — the
+    // same backpressure discipline as the daemon's admission queue.
+    if (publisher_ &&
+        publisher_->push({hex, std::move(sp)}) != QueuePush::kAccepted)
+        ++sh.counts.writeBehindDrops;
 }
 
 void
@@ -529,52 +522,6 @@ ResultCache::evictLocked(Shard &sh, const std::string &protect)
 }
 
 void
-ResultCache::enqueuePublish(Shard &sh, const std::string &hex,
-                            std::shared_ptr<const RunOutcome> outcome)
-{
-    {
-        MutexLock lk(pubMu_);
-        if (pubQueue_.size() >= opts_.writeBehindCapacity) {
-            // Shedding the publish is safe: the entry is resident in
-            // the memory tier, and if it gets demoted before a reuse
-            // the job simply re-simulates.  Bounding the queue keeps a
-            // burst of stores from buffering unbounded serialized
-            // state — the same backpressure discipline as the daemon's
-            // admission queue.
-            ++sh.counts.writeBehindDrops;
-            return;
-        }
-        pubQueue_.push_back({hex, std::move(outcome)});
-    }
-    pubCv_.notifyOne();
-}
-
-void
-ResultCache::publisherLoop()
-{
-    for (;;) {
-        PublishJob job;
-        {
-            MutexLock lk(pubMu_);
-            while (pubQueue_.empty() && !pubStop_)
-                pubCv_.wait(lk);
-            if (pubQueue_.empty())
-                return; // stop requested and the backlog is flushed
-            job = std::move(pubQueue_.front());
-            pubQueue_.pop_front();
-            pubWriting_ = true;
-        }
-        publishOne(job); // file I/O with no lock held
-        {
-            MutexLock lk(pubMu_);
-            pubWriting_ = false;
-            if (pubQueue_.empty())
-                drainCv_.notifyAll();
-        }
-    }
-}
-
-void
 ResultCache::publishOne(const PublishJob &job) const
 {
     // Atomic publish: write a unique temp file, then rename over the
@@ -612,13 +559,8 @@ ResultCache::publishOne(const PublishJob &job) const
 void
 ResultCache::drain()
 {
-    if (!publisher_.joinable())
-        return;
-    MutexLock lk(pubMu_);
-    // While-loop wait: the predicate reads pubMu_-guarded state, so
-    // it must live here where the analysis sees the lock held.
-    while (!pubQueue_.empty() || pubWriting_)
-        drainCv_.wait(lk);
+    if (publisher_)
+        publisher_->drain();
 }
 
 ResultCache::Stats
@@ -632,8 +574,10 @@ ResultCache::stats() const
         ReaderLock lk(sh->mu);
         s.memoryBytes += sh->bytes;
     }
-    MutexLock lk(pubMu_);
-    s.writeBehindDepth = pubQueue_.size() + (pubWriting_ ? 1 : 0);
+    if (publisher_) {
+        const auto g = publisher_->gauges();
+        s.writeBehindDepth = g.queued + g.inWork;
+    }
     return s;
 }
 

@@ -26,8 +26,8 @@
  *    the least-recently-used entries — demoting them to the disk tier
  *    rather than pinning every outcome for the life of the process.
  *    A demoted key is still a (disk) hit and is re-admitted on access.
- *  - Disk publishes are write-behind: store() only enqueues onto a
- *    bounded queue serviced by one publisher thread, so no file I/O
+ *  - Disk publishes are write-behind: store() only pushes onto a
+ *    bounded WorkQueue with one publisher worker, so no file I/O
  *    ever happens under a shard lock.  The destructor flushes the
  *    queue (flush-on-shutdown); drain() blocks until it is empty —
  *    SweepEngine::run() and daemon shutdown call it so no admitted
@@ -46,7 +46,6 @@
 #define RFV_SERVICE_RESULT_CACHE_H
 
 #include <atomic>
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -55,6 +54,7 @@
 #include <vector>
 
 #include "common/sync.h"
+#include "common/thread_pool.h"
 #include "core/simulator.h"
 #include "service/hash.h"
 
@@ -110,7 +110,6 @@ class ResultCache {
     /** @p dir = "" keeps the cache in-memory only (no persistence). */
     explicit ResultCache(std::string dir);
     explicit ResultCache(ResultCacheOptions opts);
-    ~ResultCache();
 
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
@@ -126,9 +125,9 @@ class ResultCache {
      * SweepEngine::run() and daemon shutdown; tests call it before
      * reopening the directory with a fresh instance.
      */
-    void drain() RFV_EXCLUDES(pubMu_);
+    void drain();
 
-    Stats stats() const RFV_EXCLUDES(pubMu_);
+    Stats stats() const;
 
     /** Exact round-trip codec (public for tests). */
     static void serialize(std::ostream &os, const RunOutcome &outcome);
@@ -181,10 +180,6 @@ class ResultCache {
                                         std::unique_ptr<Entry>>::iterator
                          it) RFV_REQUIRES(sh.mu);
 
-    void enqueuePublish(Shard &sh, const std::string &hex,
-                        std::shared_ptr<const RunOutcome> outcome)
-        RFV_EXCLUDES(pubMu_);
-    void publisherLoop() RFV_EXCLUDES(pubMu_);
     void publishOne(const PublishJob &job) const;
 
     ResultCacheOptions opts_;
@@ -193,16 +188,10 @@ class ResultCache {
     std::vector<std::unique_ptr<Shard>> shards_;
     std::atomic<u64> tick_{1};
 
-    // Write-behind publisher.  No file I/O ever runs under pubMu_:
-    // publisherLoop pops a job, drops the lock, writes, re-locks to
-    // clear pubWriting_ (drain() keys off queue-empty AND idle).
-    Thread publisher_;
-    mutable Mutex pubMu_;
-    CondVar pubCv_;   //!< work available / stop
-    CondVar drainCv_; //!< queue fully flushed
-    std::deque<PublishJob> pubQueue_ RFV_GUARDED_BY(pubMu_);
-    bool pubWriting_ RFV_GUARDED_BY(pubMu_) = false;
-    bool pubStop_ RFV_GUARDED_BY(pubMu_) = false;
+    // Write-behind publisher: one worker, present only with a cache
+    // directory.  Declared last, so its destruction (which flushes the
+    // backlog) runs before any field publishOne reads is destroyed.
+    std::optional<WorkQueue<PublishJob>> publisher_;
 };
 
 } // namespace rfv

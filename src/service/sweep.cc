@@ -105,10 +105,7 @@ SweepEngine::prepare(const SweepJob &job)
                       canonicalConfigHash(job.config, p.gpu), p.launch,
                       kSimulatorVersion);
 
-    const u32 resident =
-        p.launch.warpsPerCta() *
-        std::min(p.launch.concCtasPerSm, p.gpu.maxCtasPerSm);
-    CompileOptions copts = sim.compileOptions(resident);
+    CompileOptions copts = sim.compileOptions(sim.residentWarps(p.launch));
     if (job.config.compilerSpill)
         copts.spillRegBudget =
             sim.spillBudget(p.input->program.numRegs, p.launch);
