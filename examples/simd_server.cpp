@@ -45,28 +45,13 @@
  * remaining disk publishes (each one atomic: temp file + rename), and
  * the final STATS counters go to stderr before exit.
  */
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <iostream>
-#include <thread>
 
 #include "cli.h"
 #include "net/server.h"
 
 using namespace rfv;
-
-namespace {
-
-volatile std::sig_atomic_t gStopRequested = 0;
-
-void
-onSignal(int)
-{
-    gStopRequested = 1;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -131,8 +116,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
+    // Block the stop signals before any thread exists, so every server
+    // thread inherits the mask and main alone takes them in sigwait.
+    sigset_t stopSignals;
+    sigemptyset(&stopSignals);
+    sigaddset(&stopSignals, SIGINT);
+    sigaddset(&stopSignals, SIGTERM);
+    pthread_sigmask(SIG_BLOCK, &stopSignals, nullptr);
 
     try {
         SimdServer server(opts);
@@ -149,8 +139,8 @@ main(int argc, char **argv)
                       << ring.replication() << ")\n";
         }
 
-        while (!gStopRequested)
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        int received = 0;
+        sigwait(&stopSignals, &received);
 
         if (!quiet)
             std::cerr << "simd_server: draining...\n";

@@ -106,10 +106,10 @@ Socket::close()
 }
 
 void
-Socket::shutdownWrite()
+Socket::shutdown(Shut how)
 {
     if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_WR);
+        ::shutdown(fd_, how == Shut::kRead ? SHUT_RD : SHUT_RDWR);
 }
 
 IoStatus
@@ -200,12 +200,12 @@ Listener::Listener(u16 port)
 }
 
 std::optional<Socket>
-Listener::accept(i64 pollMs)
+Listener::accept()
 {
     if (!sock_.valid())
         return std::nullopt;
-    if (pollFd(sock_.fd(), POLLIN, deadlineAfterMs(pollMs)) !=
-        IoStatus::kOk)
+    // shutdown() wakes the poll with POLLHUP; accept(2) then fails.
+    if (pollFd(sock_.fd(), POLLIN, std::nullopt) != IoStatus::kOk)
         return std::nullopt;
     const int fd = ::accept(sock_.fd(), nullptr, nullptr);
     if (fd < 0)

@@ -6,9 +6,11 @@
  *
  * Everything is blocking-with-poll: each read/write first polls the
  * descriptor with a timeout derived from the caller's deadline, so a
- * stalled peer can never wedge a server thread, and accept loops can
- * wake periodically to observe shutdown flags.  No buffering happens
- * here; framing (length-prefixed messages) lives in common/framing.h.
+ * stalled peer can never wedge a server thread.  Waits with no
+ * deadline (accept(), an unbounded waitReadable()) end when another
+ * thread calls shutdown() on the socket: poll wakes at once, and the
+ * wait reports EOF.  No buffering happens here; framing
+ * (length-prefixed messages) lives in common/framing.h.
  */
 #ifndef RFV_COMMON_SOCKET_H
 #define RFV_COMMON_SOCKET_H
@@ -64,13 +66,19 @@ class Socket {
     /** Close now (idempotent). */
     void close();
 
-    /** Shut down writes so the peer sees EOF (best effort). */
-    void shutdownWrite();
+    enum class Shut { kRead, kBoth };
 
     /**
-     * Wait until at least one byte is readable (or EOF is pending).
-     * Lets a server poll in short slices to observe shutdown flags
-     * without ever timing out *inside* a frame.
+     * shutdown(2), best effort.  kRead wakes every wait on the socket
+     * with EOF while writes still go through; kBoth also sends the peer
+     * EOF.  Only reads fd_, so it is safe while another thread waits.
+     */
+    void shutdown(Shut how);
+
+    /**
+     * Wait until at least one byte is readable, EOF is pending or
+     * shutdown(kRead) was called.  Lets a server wait for the next
+     * frame without ever timing out *inside* one.
      */
     IoStatus waitReadable(const IoDeadline &deadline);
 
@@ -102,14 +110,14 @@ class Listener {
     u16 port() const { return port_; }
     bool valid() const { return sock_.valid(); }
 
-    /** Stop accepting; pending accept() calls return nullopt. */
+    /** Wake a blocked accept(); later accept() calls return nullopt. */
+    void shutdown() { sock_.shutdown(Socket::Shut::kRead); }
+
+    /** Release the descriptor; call only once no accept() is running. */
     void close() { sock_.close(); }
 
-    /**
-     * Accept one connection, waiting at most @p pollMs milliseconds.
-     * nullopt = timeout or closed listener (check valid()).
-     */
-    std::optional<Socket> accept(i64 pollMs);
+    /** Block until a connection arrives; nullopt when shut down or failed. */
+    std::optional<Socket> accept();
 
   private:
     Socket sock_;

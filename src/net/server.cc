@@ -15,11 +15,16 @@ namespace rfv {
 
 namespace {
 
-/** Poll slice for loops that must observe shutdown flags. */
-constexpr i64 kPollSliceMs = 100;
-
 /** Max wall time for one frame's bytes. */
 constexpr i64 kFrameTimeoutMs = 10000;
+
+/** Encode @p m and write it as one frame; false when it did not go out. */
+bool
+sendMessage(Socket &sock, const Message &m)
+{
+    return writeFrame(sock, m.encode(), deadlineAfterMs(kFrameTimeoutMs)) ==
+           FrameStatus::kOk;
+}
 
 /** Replication push queue depth; overflow drops the push. */
 constexpr size_t kReplicationQueueDepth = 256;
@@ -53,7 +58,6 @@ SimdServer::start()
     port_ = listener_->port();
     startTime_ = std::chrono::steady_clock::now();
     draining_ = false;
-    closing_ = false;
     // The peer sessions live in the worker's closure: one worker, so
     // no lock, and they close when stop() destroys the queue.
     replicator_.emplace(1, kReplicationQueueDepth,
@@ -84,17 +88,17 @@ SimdServer::stop()
     MutexLock lifecycle(lifecycleMu_);
     if (!running_)
         return;
-    // Phase 1: stop accepting.  The accept loop polls in kPollSliceMs
-    // slices and re-checks draining_ between slices, so it exits on
-    // its own within one slice; only then is the listener closed.
-    // (Closing it *before* the join — the old fast-path — raced the
-    // accept thread's poll on the listening fd: Socket::close()
-    // writes fd_ = -1 while Listener::accept() reads it.  TSan caught
-    // this once the service suites ran under the tsan preset.)
+    // Phase 1: stop accepting.  Shutting the listener down wakes the
+    // accept thread's blocked poll at once; its accept() fails, it
+    // sees draining_ and exits.  Only after the join is the listener
+    // closed: shutdown() only reads the fd, while Socket::close()
+    // writes fd_ = -1 against the accept thread's read (TSan caught
+    // that race once the service suites ran under the tsan preset).
     // Connections stay up for now: new RUNs are refused with
     // SHUTTING_DOWN (handleRun checks draining_, and the admission
     // queue refuses once closed) while admitted jobs keep executing.
     draining_ = true;
+    listener_->shutdown();
     if (acceptThread_.joinable())
         acceptThread_.join();
     listener_->close();
@@ -110,8 +114,8 @@ SimdServer::stop()
     // cluster restart from losing the freshest results.
     replicator_.reset();
 
-    // Phase 3: nothing is in flight anymore — drop the connections.
-    closing_ = true;
+    // Phase 3: nothing is in flight anymore — wake and join the
+    // connections (see joinAllConnections).
     joinAllConnections();
 
     // Phase 4: join the cache's write-behind publisher.  Stores are
@@ -237,15 +241,8 @@ SimdServer::drainReplication()
 }
 
 bool
-SimdServer::handleStore(Connection *conn, const Message &msg)
+SimdServer::handleStore(Socket &sock, const Message &msg)
 {
-    Socket &sock = conn->sock;
-    const auto reply = [&](const Message &m) {
-        return writeFrame(sock, m.encode(),
-                          deadlineAfterMs(kFrameTimeoutMs)) ==
-               FrameStatus::kOk;
-    };
-
     ServiceStatus s = ServiceStatus::kOk;
     std::string error;
     ServiceRequest req;
@@ -294,7 +291,7 @@ SimdServer::handleStore(Connection *conn, const Message &msg)
     ack.add("stored", s == ServiceStatus::kOk ? "1" : "0");
     if (!error.empty())
         ack.add("error", error);
-    return reply(ack);
+    return sendMessage(sock, ack);
 }
 
 // ---- accept / connection lifecycle -------------------------------------
@@ -303,7 +300,7 @@ void
 SimdServer::acceptLoop()
 {
     while (!draining_) {
-        std::optional<Socket> sock = listener_->accept(kPollSliceMs);
+        std::optional<Socket> sock = listener_->accept();
         reapFinishedConnections();
         if (!sock)
             continue;
@@ -317,7 +314,13 @@ SimdServer::acceptLoop()
         auto conn = std::make_unique<Connection>();
         conn->sock = std::move(*sock);
         Connection *raw = conn.get();
-        conn->thread = Thread([this, raw] { serveConnection(raw); });
+        conn->thread = Thread([this, raw] {
+            serveConnection(raw->sock);
+            // The peer sees EOF now; the owner closes the fd after
+            // joining this thread.
+            raw->sock.shutdown(Socket::Shut::kBoth);
+            raw->done = true;
+        });
         connections_.push_back(std::move(conn));
     }
 }
@@ -341,7 +344,13 @@ SimdServer::reapFinishedConnections()
 void
 SimdServer::joinAllConnections()
 {
+    // Shutting the read side down ends each connection's wait for its
+    // next frame at once: the wait reads EOF and the loop exits.  A
+    // reply being written still goes out, and a frame already received
+    // is still answered (a RUN with SHUTTING_DOWN).
     MutexLock lk(connMu_);
+    for (auto &conn : connections_)
+        conn->sock.shutdown(Socket::Shut::kRead);
     for (auto &conn : connections_)
         if (conn->thread.joinable())
             conn->thread.join();
@@ -349,15 +358,10 @@ SimdServer::joinAllConnections()
 }
 
 void
-SimdServer::serveConnection(Connection *conn)
+SimdServer::serveConnection(Socket &sock)
 {
-    Socket &sock = conn->sock;
     const auto frameDeadline = [] {
         return deadlineAfterMs(kFrameTimeoutMs);
-    };
-    const auto sendMessage = [&](const Message &m) {
-        return writeFrame(sock, m.encode(), frameDeadline()) ==
-               FrameStatus::kOk;
     };
     const auto countBadFrame = [this] { ++stats_.badFrames; };
     // Clustered peers push STORE frames carrying full outcome blobs;
@@ -367,40 +371,26 @@ SimdServer::serveConnection(Connection *conn)
                           : kMaxRequestFrameBytes;
     };
 
-    // Wait for the next frame's first byte in short slices so closing_
-    // and the idle budget are observed without ever expiring a
-    // deadline *inside* a frame.  kOk = data pending.
-    const auto awaitData = [&](std::chrono::steady_clock::time_point
-                                   since) -> IoStatus {
-        while (!closing_) {
-            const IoStatus ready =
-                sock.waitReadable(deadlineAfterMs(kPollSliceMs));
-            if (ready != IoStatus::kTimedOut)
-                return ready;
-            const auto idleMs =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - since)
-                    .count();
-            if (opts_.idleTimeoutMs >= 0 && idleMs > opts_.idleTimeoutMs) {
-                ++stats_.connectionsReaped;
-                return IoStatus::kTimedOut;
-            }
-        }
-        return IoStatus::kClosed;
+    // Wait for the next frame's first byte for at most the idle
+    // budget, so a deadline never expires *inside* a frame.  true =
+    // data or EOF pending (stop() makes it EOF; see joinAllConnections).
+    const auto awaitData = [&] {
+        const IoStatus ready =
+            sock.waitReadable(deadlineAfterMs(opts_.idleTimeoutMs));
+        if (ready == IoStatus::kTimedOut)
+            ++stats_.connectionsReaped;
+        return ready == IoStatus::kOk;
     };
 
     // ---- handshake -----------------------------------------------------
     std::string payload;
-    if (awaitData(std::chrono::steady_clock::now()) != IoStatus::kOk) {
-        conn->done = true;
+    if (!awaitData())
         return;
-    }
     const FrameStatus hs =
         readFrame(sock, payload, requestCap(), frameDeadline());
     if (hs != FrameStatus::kOk) {
         if (hs != FrameStatus::kClosed)
             countBadFrame();
-        conn->done = true;
         return;
     }
     Message hello;
@@ -408,28 +398,23 @@ SimdServer::serveConnection(Connection *conn)
     bool helloOk = false;
     if (Message::decode(payload, hello, parseError)) {
         const Message welcome = makeWelcome(hello, helloOk);
-        if (!sendMessage(welcome))
+        if (!sendMessage(sock, welcome))
             helloOk = false;
     } else {
         countBadFrame();
         Message reject;
         bool ignored = false;
         reject = makeWelcome(Message{}, ignored); // BAD_REQUEST welcome
-        sendMessage(reject);
+        sendMessage(sock, reject);
     }
-    if (!helloOk) {
-        conn->done = true;
+    if (!helloOk)
         return;
-    }
 
     // ---- request loop --------------------------------------------------
-    // The loop runs until closing_, not draining_: during a drain the
+    // The loop runs until EOF, not until draining_: during a drain the
     // connection stays up so new RUNs get an explicit SHUTTING_DOWN
     // answer instead of a dropped connection.
-    while (!closing_) {
-        if (awaitData(std::chrono::steady_clock::now()) != IoStatus::kOk)
-            break;
-
+    while (awaitData()) {
         const FrameStatus fs =
             readFrame(sock, payload, requestCap(), frameDeadline());
         if (fs == FrameStatus::kClosed)
@@ -439,7 +424,7 @@ SimdServer::serveConnection(Connection *conn)
             // stream can no longer be trusted, so answer (best effort)
             // and drop only this connection — the process lives on.
             countBadFrame();
-            sendMessage(makeErrorResult(
+            sendMessage(sock, makeErrorResult(
                 ServiceStatus::kBadRequest,
                 std::string("unreadable frame: ") + frameStatusName(fs)));
             break;
@@ -450,18 +435,19 @@ SimdServer::serveConnection(Connection *conn)
             // The frame boundary is intact, so the connection can
             // survive a malformed payload.
             countBadFrame();
-            if (!sendMessage(makeErrorResult(ServiceStatus::kBadRequest,
-                                             parseError)))
+            if (!sendMessage(sock, makeErrorResult(
+                                       ServiceStatus::kBadRequest,
+                                       parseError)))
                 break;
             continue;
         }
 
         if (msg.verb == kVerbRun) {
-            if (!handleRun(conn, msg))
+            if (!handleRun(sock, msg))
                 break;
         } else if (msg.verb == kVerbStats) {
             ++stats_.statsRequests;
-            if (!sendMessage(statsMessage()))
+            if (!sendMessage(sock, statsMessage()))
                 break;
         } else if (msg.verb == kVerbCluster) {
             ++stats_.clusterRequests;
@@ -470,7 +456,7 @@ SimdServer::serveConnection(Connection *conn)
                 state ? encodeClusterInfo(state->ring, state->self)
                       : makeErrorResult(ServiceStatus::kBadRequest,
                                         "server is not clustered");
-            if (!sendMessage(response))
+            if (!sendMessage(sock, response))
                 break;
         } else if (msg.verb == kVerbPing) {
             ++stats_.pingRequests;
@@ -481,41 +467,31 @@ SimdServer::serveConnection(Connection *conn)
             pong.addU64("ring_epoch",
                         state ? state->ring.epoch() : 0);
             pong.add("draining", draining_ ? "1" : "0");
-            if (!sendMessage(pong))
+            if (!sendMessage(sock, pong))
                 break;
         } else if (msg.verb == kVerbStore) {
-            if (!handleStore(conn, msg))
+            if (!handleStore(sock, msg))
                 break;
         } else {
-            if (!sendMessage(makeErrorResult(
-                    ServiceStatus::kBadRequest,
-                    "unknown verb '" + msg.verb + "'")))
+            if (!sendMessage(sock, makeErrorResult(
+                                       ServiceStatus::kBadRequest,
+                                       "unknown verb '" + msg.verb +
+                                           "'")))
                 break;
         }
     }
-    sock.close();
-    conn->done = true;
 }
 
 bool
-SimdServer::handleRun(Connection *conn, const Message &msg)
+SimdServer::handleRun(Socket &sock, const Message &msg)
 {
-    Socket &sock = conn->sock;
-    const auto frameDeadline = [] {
-        return deadlineAfterMs(kFrameTimeoutMs);
-    };
-    const auto reply = [&](const Message &m) {
-        return writeFrame(sock, m.encode(), frameDeadline()) ==
-               FrameStatus::kOk;
-    };
-
     // Requests rejected before admission (undecodable RUN, unknown
     // config, bad override) still count as failed requests: the STATS
     // ledger must reconcile with what clients observed.
     const auto replyFailed = [&](ServiceStatus s,
                                  const std::string &error) {
         ++stats_.requestsFailed;
-        return reply(makeErrorResult(s, error));
+        return sendMessage(sock, makeErrorResult(s, error));
     };
 
     ServiceRequest req;
@@ -557,7 +533,7 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
             }
             if (!owned) {
                 ++stats_.requestsNotOwner;
-                return reply(makeRedirectResult(
+                return sendMessage(sock, makeRedirectResult(
                     ServiceStatus::kNotOwner, otherOwners, ringEpoch,
                     "key is owned by another node under ring epoch " +
                         std::to_string(ringEpoch)));
@@ -586,17 +562,18 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
         // re-dispatches in one hop instead of blindly retrying.
         if (clustered_ && !otherOwners.empty()) {
             ++stats_.requestsRedirected;
-            return reply(makeRedirectResult(
+            return sendMessage(sock, makeRedirectResult(
                 ServiceStatus::kRedirect, otherOwners, ringEpoch,
                 "server is draining; re-dispatch to a replica"));
         }
         ++stats_.requestsShutdown;
-        return reply(makeErrorResult(ServiceStatus::kShuttingDown,
-                                     "server is draining"));
+        return sendMessage(sock,
+                           makeErrorResult(ServiceStatus::kShuttingDown,
+                                           "server is draining"));
     }
     if (admitted == QueuePush::kFull) {
         ++stats_.requestsShed;
-        return reply(makeErrorResult(
+        return sendMessage(sock, makeErrorResult(
             ServiceStatus::kRetryLater,
             "admission queue full (" +
                 std::to_string(opts_.queueCapacity) + " pending)"));
@@ -609,7 +586,7 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
     if (deadline) {
         if (future.wait_until(*deadline) != std::future_status::ready) {
             ++stats_.requestsTimedOut;
-            return reply(makeErrorResult(
+            return sendMessage(sock, makeErrorResult(
                 ServiceStatus::kDeadlineExceeded,
                 "deadline of " + std::to_string(deadlineMs) +
                     " ms expired while the job was in flight"));
@@ -628,7 +605,7 @@ SimdServer::handleRun(Connection *conn, const Message &msg)
     } else {
         ++stats_.requestsFailed;
     }
-    return reply(encodeResult(res));
+    return sendMessage(sock, encodeResult(res));
 }
 
 // ---- executors ---------------------------------------------------------

@@ -255,6 +255,11 @@ class SimdServer {
     /** Replica sessions by endpoint, owned by the replicator worker. */
     using PeerMap = std::map<std::string, std::unique_ptr<SimdClient>>;
 
+    /**
+     * One client session.  Its thread only shuts sock down when it
+     * ends; the owner (reap or join, under connMu_) closes it after
+     * the join, so only the owner ever writes sock's fd.
+     */
     struct Connection {
         Socket sock;
         Thread thread;
@@ -262,9 +267,9 @@ class SimdServer {
     };
 
     void acceptLoop() RFV_EXCLUDES(connMu_);
-    void serveConnection(Connection *conn);
-    bool handleRun(Connection *conn, const Message &msg);
-    bool handleStore(Connection *conn, const Message &msg);
+    void serveConnection(Socket &sock);
+    bool handleRun(Socket &sock, const Message &msg);
+    bool handleStore(Socket &sock, const Message &msg);
     void reapFinishedConnections() RFV_EXCLUDES(connMu_);
     void joinAllConnections() RFV_EXCLUDES(connMu_);
 
@@ -283,7 +288,6 @@ class SimdServer {
 
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false}; //!< refuse new RUNs
-    std::atomic<bool> closing_{false};  //!< in-flight done; drop conns
 
     /** Serializes start()/stop() (lifecycle transitions only). */
     Mutex lifecycleMu_;

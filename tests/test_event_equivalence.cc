@@ -11,11 +11,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <tuple>
 #include <vector>
 
 #include "compiler/pipeline.h"
+#include "service/result_cache.h"
 #include "sim/gpu.h"
 #include "workloads/workload.h"
 
@@ -83,55 +85,32 @@ runCase(const Case &c, bool event_driven)
     return out;
 }
 
-/** Human-readable diff of the counters that diverged. */
+/**
+ * The lines that differ between the two results' cache texts, so the
+ * diagnostic names every field the codec walk names.
+ */
 std::string
 diffResults(const SimResult &a, const SimResult &b)
 {
-    std::ostringstream os;
-    const auto field = [&os](const char *name, u64 x, u64 y) {
-        if (x != y)
-            os << "  " << name << ": " << x << " vs " << y << "\n";
+    const auto lines = [](const SimResult &sim) {
+        RunOutcome outcome;
+        outcome.sim = sim;
+        std::ostringstream os;
+        ResultCache::serialize(os, outcome);
+        std::istringstream is(os.str());
+        std::vector<std::string> out;
+        for (std::string line; std::getline(is, line);)
+            out.push_back(line);
+        return out;
     };
-    field("cycles", a.cycles, b.cycles);
-    field("issuedInstrs", a.issuedInstrs, b.issuedInstrs);
-    field("threadInstrs", a.threadInstrs, b.threadInstrs);
-    field("metaEncounters", a.metaEncounters, b.metaEncounters);
-    field("metaDecoded", a.metaDecoded, b.metaDecoded);
-    field("flagCacheHits", a.flagCacheHits, b.flagCacheHits);
-    field("flagCacheMisses", a.flagCacheMisses, b.flagCacheMisses);
-    field("scoreboardStalls", a.scoreboardStalls, b.scoreboardStalls);
-    field("allocStallEvents", a.allocStallEvents, b.allocStallEvents);
-    field("throttleActiveCycles", a.throttleActiveCycles,
-          b.throttleActiveCycles);
-    field("bankConflictCycles", a.bankConflictCycles,
-          b.bankConflictCycles);
-    field("spillEvents", a.spillEvents, b.spillEvents);
-    field("spilledRegs", a.spilledRegs, b.spilledRegs);
-    field("refilledRegs", a.refilledRegs, b.refilledRegs);
-    field("wakeStallEvents", a.wakeStallEvents, b.wakeStallEvents);
-    field("icacheHits", a.icacheHits, b.icacheHits);
-    field("icacheMisses", a.icacheMisses, b.icacheMisses);
-    field("dcacheHits", a.dcacheHits, b.dcacheHits);
-    field("dcacheMisses", a.dcacheMisses, b.dcacheMisses);
-    field("peakResidentWarps", a.peakResidentWarps, b.peakResidentWarps);
-    field("completedCtas", a.completedCtas, b.completedCtas);
-    field("dram.requests", a.dram.requests, b.dram.requests);
-    field("dram.transactions", a.dram.transactions, b.dram.transactions);
-    field("dram.queueCycles", a.dram.queueCycles, b.dram.queueCycles);
-    field("rf.allocations", a.rf.allocations, b.rf.allocations);
-    field("rf.releases", a.rf.releases, b.rf.releases);
-    field("rf.wakeEvents", a.rf.wakeEvents, b.rf.wakeEvents);
-    field("rf.activeSubarrayCycles", a.rf.activeSubarrayCycles,
-          b.rf.activeSubarrayCycles);
-    field("rf.sampledCycles", a.rf.sampledCycles, b.rf.sampledCycles);
-    field("rf.allocWatermark", a.rf.allocWatermark, b.rf.allocWatermark);
-    field("rf.touchedCount", a.rf.touchedCount, b.rf.touchedCount);
-    field("rename.lookups", a.rename.lookups, b.rename.lookups);
-    field("rename.updates", a.rename.updates, b.rename.updates);
-    field("rename.mappedRegCycles", a.rename.mappedRegCycles,
-          b.rename.mappedRegCycles);
-    field("rename.sampledCycles", a.rename.sampledCycles,
-          b.rename.sampledCycles);
+    const std::vector<std::string> x = lines(a), y = lines(b);
+    std::ostringstream os;
+    for (size_t i = 0; i < std::max(x.size(), y.size()); ++i) {
+        const std::string l = i < x.size() ? x[i] : "(none)";
+        const std::string r = i < y.size() ? y[i] : "(none)";
+        if (l != r)
+            os << "  " << l << " vs " << r << "\n";
+    }
     return os.str();
 }
 

@@ -5,14 +5,17 @@
  * requests hit the shared ResultCache, malformed frames and garbage
  * messages never take the process down, version-mismatched peers are
  * refused at the handshake, deadlines expire with DEADLINE_EXCEEDED,
- * a full admission queue sheds with RETRY_LATER, and a draining
- * server answers SHUTTING_DOWN — with the STATS counters reconciling
- * against everything the client observed.
+ * a full admission queue sheds with RETRY_LATER, a draining server
+ * answers SHUTTING_DOWN, and stop() and the idle reaper end sessions
+ * at once — with the STATS counters reconciling against everything
+ * the client observed.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <thread> // std::this_thread::sleep_for only
 
 #include <unistd.h>
@@ -512,6 +515,70 @@ TEST(SimdService, DrainingServerAnswersShuttingDownAndStops)
     server.stop();
     SimdClient refused(clientFor(server));
     EXPECT_NE(refused.connect(error), ServiceStatus::kOk);
+}
+
+TEST(SimdService, StopWakesIdleConnections)
+{
+    // stop() wakes the accept loop and every idle session with
+    // shutdown(2), so no part of the drain waits for a timer tick.
+    ServerOptions sopts;
+    sopts.sweep.useCache = false;
+    SimdServer server(sopts);
+    server.start();
+
+    std::vector<std::unique_ptr<SimdClient>> clients;
+    std::string error;
+    for (int i = 0; i < 3; ++i) {
+        ClientOptions copts = clientFor(server);
+        copts.responseTimeoutMs = 5000; // a hang fails as "timed-out"
+        clients.push_back(std::make_unique<SimdClient>(copts));
+        ASSERT_EQ(clients.back()->connect(error), ServiceStatus::kOk)
+            << error;
+    }
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    const auto stopMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_LT(stopMs, 100) << "stop() waited for a poll tick";
+
+    // Every session was ended: the next request fails on the
+    // transport at once instead of waiting for an answer.
+    for (auto &client : clients) {
+        SweepJobResult res;
+        EXPECT_EQ(client->run(smallRequest(), res, error),
+                  ServiceStatus::kInternalError);
+        EXPECT_EQ(error.find("timed-out"), std::string::npos) << error;
+        EXPECT_FALSE(client->connected());
+    }
+}
+
+TEST(SimdService, IdleConnectionIsReaped)
+{
+    ServerOptions sopts;
+    sopts.sweep.useCache = false;
+    sopts.idleTimeoutMs = 50;
+    SimdServer server(sopts);
+    server.start();
+
+    SimdClient client(clientFor(server));
+    std::string error;
+    ASSERT_EQ(client.connect(error), ServiceStatus::kOk) << error;
+    while (counter(server, "connections_reaped") == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(counter(server, "connections_reaped"), 1u);
+
+    // The reaped session reads EOF: one transport error, after which
+    // the same client reconnects and is served.
+    SweepJobResult res;
+    EXPECT_EQ(client.run(smallRequest(), res, error),
+              ServiceStatus::kInternalError);
+    EXPECT_FALSE(client.connected());
+    EXPECT_EQ(client.run(smallRequest(), res, error), ServiceStatus::kOk)
+        << error;
+    server.stop();
 }
 
 } // namespace
